@@ -510,10 +510,11 @@ impl TableResolution {
     /// * `Entity { label, .. }` re-resolves values whose norm equals the
     ///   new label's norm (exact-match short-circuit may flip) and values
     ///   with no exact match whose similarity to the label clears the
-    ///   KB's threshold (the fuzzy candidate set grows). `sim::similarity`
-    ///   is bit-identical to the label index's scoring, and the index's
-    ///   trigram prefilter only ever *drops* candidates, so no affected
-    ///   value escapes.
+    ///   KB's threshold (the fuzzy candidate set grows). The label index's
+    ///   fuzzy lookup returns *exactly* the labels whose `sim::similarity`
+    ///   to the value reaches the threshold, with the same scores, so a
+    ///   value's candidate set gains the new label iff this predicate
+    ///   holds: no affected value escapes.
     /// * `Type { resource, .. }` re-resolves values whose candidate lists
     ///   contain the resource (their `Q_types` closure may grow).
     /// * `Fact`/`LiteralFact` recompute the memoized pair entries whose

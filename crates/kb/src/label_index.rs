@@ -1,10 +1,19 @@
-//! Label lookup: exact (normalized) and approximate (n-gram index).
+//! Label lookup: exact (normalized) and approximate (threshold-bounded).
 //!
 //! This is the Lucene/LARQ stand-in. All labels are stored normalized (see
-//! [`crate::sim::normalize`]). Exact lookup is a hash probe; approximate
-//! lookup collects candidate labels sharing character trigrams with the
-//! query and scores them with the hybrid similarity of [`crate::sim`],
-//! returning those at or above the threshold (the paper uses 0.7).
+//! [`crate::sim::normalize`]). Exact lookup is a hash probe. Approximate
+//! lookup returns exactly the labels whose [`crate::sim::similarity`] to
+//! the query reaches the threshold (the paper uses 0.7), with the same
+//! scores, found without scoring every label:
+//!
+//! * the Jaccard side counts trigram postings into a dense per-slot
+//!   array; a label with Jaccard ≥ τ > 0 shares a trigram with the query,
+//!   so the posting pass sees all of them, and `shared / (|Q| + |S| -
+//!   shared)` is the Jaccard score itself;
+//! * the Levenshtein side scans only the label-length buckets within the
+//!   threshold's edit budget `k`, skips labels whose 64-bit char masks
+//!   already prove more than `k` edits, and verifies the rest with the
+//!   bounded bit-parallel OSA kernel of [`crate::sim`].
 //!
 //! Like the parser modules, this module denies `clippy::unwrap_used`:
 //! lookups run on arbitrary user strings and must never panic — in
@@ -34,11 +43,21 @@ pub struct LabelIndex {
     /// that label (homonyms: `Rossi` the player and `Rossi` the racer).
     slots: Vec<(String, Vec<ResourceId>)>,
     slot_of: HashMap<String, u32>,
-    /// trigram -> slots containing it.
+    /// trigram -> slots containing it, ascending.
     grams: HashMap<[char; 3], Vec<u32>>,
-    /// Per-slot sorted distinct trigrams, computed once at insert so
-    /// approximate lookup never re-derives a label's gram set.
-    slot_grams: Vec<Vec<[char; 3]>>,
+    /// Per-slot number of distinct trigrams, `|S|` of the Jaccard side.
+    gram_counts: Vec<u32>,
+    /// Slots grouped by label length in chars, ascending length.
+    by_len: Vec<LengthBucket>,
+}
+
+/// The slots whose labels have `len` chars, ascending, with each label's
+/// [`char_mask`] alongside.
+#[derive(Debug, Clone)]
+struct LengthBucket {
+    len: usize,
+    slots: Vec<u32>,
+    masks: Vec<u64>,
 }
 
 impl LabelIndex {
@@ -64,11 +83,30 @@ impl LabelIndex {
             Some(&s) => s,
             None => {
                 let s = u32::try_from(self.slots.len()).expect("label slots exhausted");
-                let grams = dedup_grams(&norm);
+                let grams = sim::sorted_trigrams(&norm);
                 for &g in &grams {
                     self.grams.entry(g).or_default().push(s);
                 }
-                self.slot_grams.push(grams);
+                self.gram_counts
+                    .push(u32::try_from(grams.len()).expect("label trigram count exceeds u32"));
+                let len = norm.chars().count();
+                let at = match self.by_len.binary_search_by_key(&len, |b| b.len) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        self.by_len.insert(
+                            at,
+                            LengthBucket {
+                                len,
+                                slots: Vec::new(),
+                                masks: Vec::new(),
+                            },
+                        );
+                        at
+                    }
+                };
+                let bucket = &mut self.by_len[at];
+                bucket.slots.push(s);
+                bucket.masks.push(char_mask(&norm));
                 self.slots.push((norm.clone(), Vec::new()));
                 self.slot_of.insert(norm, s);
                 s
@@ -99,46 +137,89 @@ impl LabelIndex {
     /// Resources whose label is similar to `query` at `threshold` or above,
     /// best score first. Exact matches always score 1.0 and come first.
     ///
-    /// Candidate generation requires at least a quarter of the query's
-    /// distinct trigrams to be shared (at least one); with the hybrid
-    /// similarity and thresholds ≥ 0.5 this prefilter does not lose matches
-    /// in practice while keeping lookup sub-linear in the label count.
+    /// The result is exact: every label `l` with `sim::similarity(
+    /// normalize(query), l) >= threshold`, scored with that value, ordered
+    /// by score descending and then by insertion order of the label.
     pub fn lookup(&self, query: &str, threshold: f64) -> Vec<LabelMatch> {
         self.lookup_normalized(&sim::normalize(query), threshold)
     }
 
     /// [`Self::lookup`] for an *already normalized* query. Scores are
-    /// bit-identical to [`sim::similarity`] on the normalized strings: the
-    /// equality short-circuit and the `max(levenshtein, jaccard)` hybrid
-    /// are reproduced here, with the Jaccard side computed from the
-    /// cached per-slot gram sets instead of re-deriving the label's grams.
+    /// bit-identical to [`sim::similarity`] on the normalized strings:
+    /// both sides of the `max(levenshtein, jaccard)` hybrid are computed
+    /// with the same integer inputs and f64 expressions.
+    ///
+    /// A label is reported iff one side reaches `threshold`:
+    /// * Levenshtein: its OSA distance `d` is at most `k = sim::max_edits(
+    ///   max_len, threshold)`. Since `d ≥ |len_q - len_l|`, only length
+    ///   buckets within `k` are scanned. Each substitution or deletion
+    ///   removes one char of the query and transpositions remove none, so
+    ///   `d` is at least the number of distinct query chars missing from
+    ///   the label (and vice versa); the char-mask popcounts bound that
+    ///   from below, collisions only weakening the bound. Survivors are
+    ///   verified by the bounded OSA kernel of [`sim`].
+    /// * Jaccard: `shared ≥ 1` for any score above zero, so every such
+    ///   label is in the posting lists of the query's trigrams.
+    ///
+    /// When one side is below `threshold` and the other reaches it, the
+    /// max is the reaching side, so each reported score is the full hybrid.
     pub fn lookup_normalized(&self, norm: &str, threshold: f64) -> Vec<LabelMatch> {
-        let qgrams = dedup_grams(norm);
-        let min_shared = (qgrams.len() / 4).max(1);
-        let mut shared: HashMap<u32, usize> = HashMap::new();
+        let qgrams = sim::sorted_trigrams(norm);
+        let qlen = norm.chars().count();
+        let qmask = char_mask(norm);
+        let mut hits: Vec<(u32, f64)> = Vec::new();
+
+        // Jaccard side: |Q ∩ S| per slot sharing a trigram.
+        let mut shared = vec![0u32; self.slots.len()];
+        let mut touched: Vec<u32> = Vec::new();
         for g in &qgrams {
-            if let Some(slots) = self.grams.get(g) {
-                for &s in slots {
-                    *shared.entry(s).or_insert(0) += 1;
+            for &s in self.grams.get(g).map_or(&[][..], Vec::as_slice) {
+                let count = &mut shared[s as usize];
+                if *count == 0 {
+                    touched.push(s);
                 }
+                *count += 1;
             }
         }
-        let mut hits: Vec<(u32, f64)> = Vec::new();
-        for (slot, count) in shared {
-            if count < min_shared {
+        let jaccard = |slot: u32, count: u32| {
+            let union = qgrams.len() + self.gram_counts[slot as usize] as usize - count as usize;
+            count as f64 / union as f64
+        };
+
+        // Levenshtein side: length buckets, char masks, OSA kernel. A
+        // reported slot's count is zeroed so the Jaccard pass skips it.
+        let osa = sim::OsaPattern::new(norm);
+        for bucket in &self.by_len {
+            let max_len = qlen.max(bucket.len);
+            let Some(k) = sim::max_edits(max_len, threshold) else {
+                continue;
+            };
+            if qlen.abs_diff(bucket.len) > k {
                 continue;
             }
-            let label = &self.slots[slot as usize].0;
-            let score = if norm == label {
-                1.0
-            } else {
-                sim::levenshtein_sim(norm, label).max(sim::jaccard_sorted(
-                    &qgrams,
-                    &self.slot_grams[slot as usize],
-                ))
-            };
-            if score >= threshold {
-                hits.push((slot, score));
+            for (&slot, &mask) in bucket.slots.iter().zip(&bucket.masks) {
+                if (qmask & !mask).count_ones() as usize > k
+                    || (mask & !qmask).count_ones() as usize > k
+                {
+                    continue;
+                }
+                let Some(d) = osa.distance_within(&self.slots[slot as usize].0, k) else {
+                    continue;
+                };
+                let lev = sim::levenshtein_score(d, max_len);
+                let count = std::mem::take(&mut shared[slot as usize]);
+                hits.push((slot, lev.max(jaccard(slot, count))));
+            }
+        }
+
+        // The rest: labels only the Jaccard side can reach.
+        for slot in touched {
+            let count = shared[slot as usize];
+            if count > 0 {
+                let jac = jaccard(slot, count);
+                if jac >= threshold {
+                    hits.push((slot, jac));
+                }
             }
         }
         // Best score first; ties broken by slot index for determinism.
@@ -158,8 +239,18 @@ impl LabelIndex {
     }
 }
 
-fn dedup_grams(s: &str) -> Vec<[char; 3]> {
-    sim::sorted_trigrams(s)
+/// A 64-bit set of the chars in `s`: lowercase letters and digits get
+/// their own bits (labels are normalized to lowercase), everything else
+/// shares the remaining 28.
+fn char_mask(s: &str) -> u64 {
+    s.chars().fold(0u64, |mask, c| {
+        let bit = match c {
+            'a'..='z' => c as u32 - 'a' as u32,
+            '0'..='9' => 26 + (c as u32 - '0' as u32),
+            _ => 36 + c as u32 % 28,
+        };
+        mask | 1u64 << bit
+    })
 }
 
 #[cfg(test)]
