@@ -49,12 +49,10 @@
 //! reused exactly when that triple is unchanged.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use katara_crowd::{Crowd, CrowdStats, Oracle};
-use katara_exec::Deadline;
 use katara_kb::{EnrichmentDelta, Kb};
-use katara_obs::{Counter, Gauge, NoopRecorder, Span};
+use katara_obs::{Counter, Gauge, Span};
 use katara_table::{Table, TableDelta, TableEdit, Value};
 
 use crate::annotation::{
@@ -141,7 +139,8 @@ impl DeltaSession {
         let resolution = TableResolution::build(table, kb, config.candidates.max_rows)
             .with_recorder(config.recorder.clone());
         let katara = Katara::new(config.clone());
-        let report = katara.clean_with_resolution(table, kb, crowd, Some(&resolution))?;
+        let (report, repair_index) =
+            katara.clean_keeping_index(table, kb, crowd, Some(&resolution))?;
 
         let ncols = table.num_columns();
         let pairs: Vec<(usize, usize)> = (0..ncols)
@@ -185,15 +184,9 @@ impl DeltaSession {
             report.degradation.deadline_expired,
         );
         if !report.degradation.deadline_expired {
-            // The run's own index was dropped with its locals; rebuild it
-            // quietly (identical by determinism) so the first delta run
-            // starts warm.
-            let quiet = RepairConfig {
-                recorder: Arc::new(NoopRecorder),
-                deadline: Deadline::none(),
-                ..session.config.repair.clone()
-            };
-            session.repair_index = Some(RepairIndex::build(kb, &report.pattern, &quiet));
+            // Keep the run's own index (built on `report.pattern` against
+            // this KB version) so the first delta run starts warm.
+            session.repair_index = repair_index;
             session.repair_pattern = Some(report.pattern.clone());
             session.repair_kb_version = kb.version();
             session.row_repairs = report.repairs.iter().cloned().collect();
@@ -897,6 +890,7 @@ mod tests {
     use crate::candidates::CandidateConfig;
     use katara_crowd::{Answer, CrowdConfig, Question};
     use katara_obs::RunRecorder;
+    use std::sync::Arc;
 
     /// The pipeline test world: countries, capitals, players; the KB
     /// misses one capital fact and the table has one true error.

@@ -253,6 +253,22 @@ impl Katara {
         crowd: &mut Crowd<O>,
         shared: Option<&TableResolution>,
     ) -> Result<CleaningReport, KataraError> {
+        self.clean_keeping_index(table, kb, crowd, shared)
+            .map(|(report, _)| report)
+    }
+
+    /// [`clean_with_resolution`](Self::clean_with_resolution), also
+    /// handing back the run's [`RepairIndex`] (built on the report's
+    /// effective pattern against the post-enrichment KB; `None` when the
+    /// deadline expired before repair). `DeltaSession::bootstrap` keeps
+    /// it instead of enumerating the same instance graphs again.
+    pub(crate) fn clean_keeping_index<O: Oracle>(
+        &self,
+        table: &Table,
+        kb: &mut Kb,
+        crowd: &mut Crowd<O>,
+        shared: Option<&TableResolution>,
+    ) -> Result<(CleaningReport, Option<RepairIndex>), KataraError> {
         // One recorder for the whole run: KataraConfig's wins — it is
         // injected into every stage config the pipeline actually runs.
         // The deadline travels the same way, plus into the crowd, so all
@@ -412,7 +428,7 @@ impl Katara {
         // instance graphs; the *effective* pattern (after annotation-time
         // feedback) drives repair.
         let effective = annotation.pattern.clone();
-        let repairs = {
+        let (repairs, repair_index) = {
             let _span = Span::enter(rec.as_ref(), "repair");
             // Repair itself never spends budget, but it operates on an
             // annotation the exhausted budget truncated — record the
@@ -422,12 +438,12 @@ impl Katara {
             }
             if dl.expired() {
                 deadline_phase.get_or_insert("repair");
-                Vec::new()
+                (Vec::new(), None)
             } else {
                 let index = RepairIndex::build(kb, &effective, &repair_cfg);
                 // Repair only consumes the snapshot's string tier (normalized
                 // cells), which never goes stale — safe even after enrichment.
-                generate_repairs_resolved(
+                let repairs = generate_repairs_resolved(
                     &index,
                     kb,
                     &effective,
@@ -437,7 +453,8 @@ impl Katara {
                     &repair_cfg,
                     self.config.threads,
                     resolution,
-                )
+                );
+                (repairs, Some(index))
             }
         };
         mark_phase("repair", &mut deadline_phase);
@@ -486,14 +503,15 @@ impl Katara {
             questions_saved: run_stats.questions_saved,
         };
 
-        Ok(CleaningReport {
+        let report = CleaningReport {
             pattern: effective,
             variables_validated: outcome.variables_validated,
             discovery_stats,
             annotation,
             repairs,
             degradation,
-        })
+        };
+        Ok((report, repair_index))
     }
 }
 

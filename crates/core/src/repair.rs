@@ -12,13 +12,28 @@
 //! Patterns may be disconnected; instance graphs are enumerated per
 //! connected component (the paper treats disconnected sub-patterns
 //! independently) and per-component repairs combine additively.
+//!
+//! ## Integer ids inside, strings at the edges
+//!
+//! Each component interns its distinct values into a dictionary of `u32`
+//! value ids as graphs are enumerated; a graph is a row of value ids in
+//! one flat graph-major array. Every distinct value is normalized once,
+//! to a normalized-form id, and the inverted lists are keyed by
+//! `(slot, norm id)`. Every value also carries the dense rank of its
+//! display label among the component's labels (equal labels share a
+//! rank), so a candidate repair is the integer key
+//! `(cost, [(col << 32) | rank …])`: comparing two keys orders and
+//! equates them exactly as comparing their `(col, label)` change lists
+//! would. Ranking, dedup, the ambiguity cut-off and diversification all
+//! run on those keys; only the ≤ k survivors of a tuple are turned back
+//! into `(column, String)` changes.
 
-use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use katara_exec::{Deadline, Threads};
-use katara_kb::{sim, Kb, ResourceId};
+use katara_kb::{sim, Kb, LiteralId, PropertyId, ResourceId};
 use katara_obs::{Counter, Histogram, NoopRecorder, Recorder};
 use katara_table::{Table, Value};
 
@@ -66,31 +81,46 @@ impl Default for RepairConfig {
 }
 
 /// One node's value inside an instance graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum NodeVal {
     Res(ResourceId),
-    Lit(String),
+    Lit(LiteralId),
 }
 
-/// One instance graph: a value per component node (aligned with
-/// `ComponentIndex::node_indexes`).
-#[derive(Debug, Clone)]
-struct InstanceGraph {
-    values: Vec<NodeVal>,
-    /// Normalized form of each value, computed once at index build time
-    /// and shared by the inverted lists and every per-tuple cost check
-    /// (the old code re-normalized per overlapping graph per tuple).
-    norms: Vec<String>,
+impl NodeVal {
+    /// The display string a repair proposes for this value.
+    fn label(self, kb: &Kb) -> &str {
+        match self {
+            NodeVal::Res(r) => kb.label_of(r),
+            NodeVal::Lit(l) => kb.literal_value(l),
+        }
+    }
 }
 
-/// Per-component enumeration + inverted lists.
+/// Per-component enumeration, value dictionary and inverted lists.
 #[derive(Debug)]
 struct ComponentIndex {
-    /// Pattern-node indexes in this component.
-    node_indexes: Vec<usize>,
-    graphs: Vec<InstanceGraph>,
-    /// (slot in `node_indexes`, normalized value) -> graph ids.
-    inverted: HashMap<(usize, String), Vec<u32>>,
+    /// Table column of each slot (one slot per pattern node of the
+    /// component, in node-index order).
+    columns: Vec<usize>,
+    /// Instance graphs, graph-major: the value id of graph `g` in slot
+    /// `s` is `graphs[g * columns.len() + s]`.
+    graphs: Vec<u32>,
+    /// Distinct values by value id, in first-enumerated order.
+    values: Vec<NodeVal>,
+    /// Value id -> normalized-form id.
+    value_norm: Vec<u32>,
+    /// Value id -> dense rank of its label (equal labels, equal rank).
+    value_rank: Vec<u32>,
+    /// Rank -> a value id carrying that label.
+    rank_value: Vec<u32>,
+    /// Normalized form -> norm id.
+    norm_ids: HashMap<String, u32>,
+    /// Inverted lists, CSR-packed: the graphs carrying norm id `n` in
+    /// slot `s` are `postings[offsets[b]..offsets[b + 1]]` with
+    /// `b = s * norm_ids.len() + n`, in ascending graph order.
+    offsets: Vec<u32>,
+    postings: Vec<u32>,
     truncated: bool,
 }
 
@@ -98,8 +128,8 @@ struct ComponentIndex {
 #[derive(Debug)]
 pub struct RepairIndex {
     components: Vec<ComponentIndex>,
-    /// Columns of the pattern nodes, aligned with the pattern.
-    node_columns: Vec<usize>,
+    /// Node count of the pattern the index was built for.
+    num_nodes: usize,
 }
 
 /// One possible repair for a tuple.
@@ -116,7 +146,6 @@ impl RepairIndex {
     /// Enumerate all instance graphs of `pattern` in `kb` and build the
     /// inverted lists.
     pub fn build(kb: &Kb, pattern: &TablePattern, config: &RepairConfig) -> Self {
-        let node_columns: Vec<usize> = pattern.nodes().iter().map(|n| n.column).collect();
         let components = pattern
             .components()
             .into_iter()
@@ -124,11 +153,14 @@ impl RepairIndex {
             .collect();
         let index = RepairIndex {
             components,
-            node_columns,
+            num_nodes: pattern.nodes().len(),
         };
         config
             .recorder
             .incr_by(Counter::RepairGraphsBuilt, index.num_graphs() as u64);
+        config
+            .recorder
+            .incr_by(Counter::RepairIndexValues, index.num_values() as u64);
         if index.truncated() {
             config.recorder.incr(Counter::RepairIndexTruncated);
         }
@@ -142,11 +174,34 @@ impl RepairIndex {
 
     /// Total instance graphs enumerated.
     pub fn num_graphs(&self) -> usize {
-        self.components.iter().map(|c| c.graphs.len()).sum()
+        self.components.iter().map(ComponentIndex::num_graphs).sum()
+    }
+
+    /// Total distinct values interned, summed over components.
+    fn num_values(&self) -> usize {
+        self.components.iter().map(|c| c.values.len()).sum()
     }
 }
 
-/// Enumerate the instance graphs of one pattern component.
+impl ComponentIndex {
+    fn num_graphs(&self) -> usize {
+        self.graphs.len() / self.columns.len()
+    }
+
+    /// The value ids of graph `g`, one per slot.
+    fn graph(&self, g: u32) -> &[u32] {
+        let slots = self.columns.len();
+        &self.graphs[g as usize * slots..(g as usize + 1) * slots]
+    }
+
+    /// The graphs carrying norm id `norm` in `slot`, ascending.
+    fn posting(&self, slot: usize, norm: u32) -> &[u32] {
+        let b = slot * self.norm_ids.len() + norm as usize;
+        &self.postings[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+}
+
+/// Enumerate the instance graphs of one pattern component and index them.
 fn build_component(
     kb: &Kb,
     pattern: &TablePattern,
@@ -154,13 +209,16 @@ fn build_component(
     config: &RepairConfig,
 ) -> ComponentIndex {
     // Local adjacency: edges whose endpoints live in this component.
-    let col_of = |ni: usize| pattern.nodes()[ni].column;
-    let slot_of: HashMap<usize, usize> = node_indexes
+    let columns: Vec<usize> = node_indexes
+        .iter()
+        .map(|&ni| pattern.nodes()[ni].column)
+        .collect();
+    let slot_of: HashMap<usize, usize> = columns
         .iter()
         .enumerate()
-        .map(|(slot, &ni)| (col_of(ni), slot))
+        .map(|(slot, &col)| (col, slot))
         .collect();
-    let edges: Vec<(usize, usize, katara_kb::PropertyId, bool)> = pattern
+    let edges: Vec<Edge> = pattern
         .edges()
         .iter()
         .filter_map(|e| {
@@ -178,176 +236,244 @@ fn build_component(
         .min_by_key(|&(_, size)| size)
         .map(|(slot, _)| slot);
 
-    let mut graphs: Vec<InstanceGraph> = Vec::new();
-    let mut truncated = false;
-
+    let mut en = Enumeration {
+        kb,
+        pattern,
+        node_indexes: &node_indexes,
+        edges: &edges,
+        cap: config.max_graphs_per_component,
+        assignment: vec![None; node_indexes.len()],
+        resource_ids: vec![u32::MAX; kb.num_entities()],
+        literal_ids: HashMap::new(),
+        values: Vec::new(),
+        graphs: Vec::new(),
+        truncated: false,
+    };
     if let Some(seed) = seed {
         // invariant: `seed` came from the filter_map above, which only
         // yields slots whose node has `class = Some(_)`.
         let seed_class = pattern.nodes()[node_indexes[seed]]
             .class
             .expect("seed is typed");
-        let mut values: Vec<Option<NodeVal>> = vec![None; node_indexes.len()];
         for &r in kb.entities_of_class(seed_class) {
-            values[seed] = Some(NodeVal::Res(r));
-            expand(
-                kb,
-                pattern,
-                &node_indexes,
-                &edges,
-                &mut values,
-                &mut graphs,
-                config.max_graphs_per_component,
-                &mut truncated,
-            );
-            values[seed] = None;
-            if truncated {
+            en.assignment[seed] = Some(NodeVal::Res(r));
+            en.expand();
+            en.assignment[seed] = None;
+            if en.truncated {
                 break;
             }
         }
     }
     // A component with no typed node (pure literal) yields no graphs —
     // there is nothing to anchor enumeration on.
+    let Enumeration {
+        values,
+        graphs,
+        truncated,
+        ..
+    } = en;
 
-    let mut inverted: HashMap<(usize, String), Vec<u32>> = HashMap::new();
-    for (gi, g) in graphs.iter_mut().enumerate() {
-        g.norms = g
-            .values
-            .iter()
-            .map(|v| match v {
-                NodeVal::Res(r) => sim::normalize(kb.label_of(*r)),
-                NodeVal::Lit(l) => sim::normalize(l),
-            })
-            .collect();
-        for (slot, key) in g.norms.iter().enumerate() {
-            inverted
-                .entry((slot, key.clone()))
-                .or_default()
-                .push(gi as u32);
+    // Normalize each distinct value once.
+    let mut norm_ids: HashMap<String, u32> = HashMap::new();
+    let value_norm: Vec<u32> = values
+        .iter()
+        .map(|v| {
+            let next = norm_ids.len() as u32;
+            *norm_ids.entry(sim::normalize(v.label(kb))).or_insert(next)
+        })
+        .collect();
+
+    // Dense label ranks, from value ids sorted on their borrowed labels.
+    // Each id carries its label's first 8 bytes as a big-endian integer
+    // (zero-padded), which orders like the label itself wherever two
+    // prefixes differ; only equal prefixes compare the full labels.
+    let head = |label: &str| {
+        let mut bytes = [0u8; 8];
+        let n = label.len().min(8);
+        bytes[..n].copy_from_slice(&label.as_bytes()[..n]);
+        u64::from_be_bytes(bytes)
+    };
+    let mut by_label: Vec<(u64, u32)> = values
+        .iter()
+        .enumerate()
+        .map(|(v, val)| (head(val.label(kb)), v as u32))
+        .collect();
+    by_label.sort_unstable_by(|&(ha, a), &(hb, b)| {
+        ha.cmp(&hb).then_with(|| {
+            values[a as usize]
+                .label(kb)
+                .cmp(values[b as usize].label(kb))
+        })
+    });
+    let mut value_rank = vec![0u32; values.len()];
+    let mut rank_value: Vec<u32> = Vec::new();
+    let mut prev: Option<&str> = None;
+    for &(_, v) in &by_label {
+        let label = values[v as usize].label(kb);
+        if prev != Some(label) {
+            rank_value.push(v);
+            prev = Some(label);
+        }
+        value_rank[v as usize] = rank_value.len() as u32 - 1;
+    }
+
+    // Inverted lists keyed by (slot, norm id), counted then filled.
+    let slots = columns.len();
+    let norms = norm_ids.len();
+    let bucket = |slot: usize, v: u32| slot * norms + value_norm[v as usize] as usize;
+    let mut offsets = vec![0u32; slots * norms + 1];
+    for g in graphs.chunks_exact(slots) {
+        for (slot, &v) in g.iter().enumerate() {
+            offsets[bucket(slot, v) + 1] += 1;
         }
     }
+    for b in 1..offsets.len() {
+        offsets[b] += offsets[b - 1];
+    }
+    let mut cursor = offsets.clone();
+    let mut postings = vec![0u32; graphs.len()];
+    for (gi, g) in graphs.chunks_exact(slots).enumerate() {
+        for (slot, &v) in g.iter().enumerate() {
+            let c = &mut cursor[bucket(slot, v)];
+            postings[*c as usize] = gi as u32;
+            *c += 1;
+        }
+    }
+
     ComponentIndex {
-        node_indexes,
+        columns,
         graphs,
-        inverted,
+        values,
+        value_norm,
+        value_rank,
+        rank_value,
+        norm_ids,
+        offsets,
+        postings,
         truncated,
     }
 }
 
-/// Depth-first completion of a partial assignment along component edges.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    kb: &Kb,
-    pattern: &TablePattern,
-    node_indexes: &[usize],
-    edges: &[(usize, usize, katara_kb::PropertyId, bool)],
-    values: &mut Vec<Option<NodeVal>>,
-    graphs: &mut Vec<InstanceGraph>,
+/// A component edge: `(subject slot, object slot, property, object is a
+/// literal)`.
+type Edge = (usize, usize, PropertyId, bool);
+
+/// Depth-first instance-graph enumeration state for one component.
+struct Enumeration<'a> {
+    kb: &'a Kb,
+    pattern: &'a TablePattern,
+    node_indexes: &'a [usize],
+    edges: &'a [Edge],
     cap: usize,
-    truncated: &mut bool,
-) {
-    if *truncated {
-        return;
-    }
-    // Verify edges with both ends assigned; find a frontier edge.
-    let mut frontier: Option<(usize, usize, katara_kb::PropertyId, bool, bool)> = None;
-    for &(s, o, p, lit) in edges {
-        match (&values[s], &values[o]) {
-            (Some(NodeVal::Res(rs)), Some(NodeVal::Res(ro))) if !kb.holds(*rs, p, *ro) => {
-                return;
+    /// The partial assignment, one entry per slot.
+    assignment: Vec<Option<NodeVal>>,
+    /// Value -> value id (`u32::MAX`: not seen yet); resources by dense
+    /// index.
+    resource_ids: Vec<u32>,
+    literal_ids: HashMap<LiteralId, u32>,
+    /// Value id -> value.
+    values: Vec<NodeVal>,
+    /// Completed graphs, graph-major value ids.
+    graphs: Vec<u32>,
+    truncated: bool,
+}
+
+impl Enumeration<'_> {
+    /// Depth-first completion of the partial assignment along component
+    /// edges.
+    fn expand(&mut self) {
+        if self.truncated {
+            return;
+        }
+        let kb = self.kb;
+        // Verify edges with both ends assigned; find a frontier edge.
+        let mut frontier: Option<(usize, usize, PropertyId, bool, bool)> = None;
+        for &(s, o, p, lit) in self.edges {
+            match (self.assignment[s], self.assignment[o]) {
+                (Some(NodeVal::Res(rs)), Some(NodeVal::Res(ro))) if !kb.holds(rs, p, ro) => {
+                    return;
+                }
+                (Some(NodeVal::Res(rs)), Some(NodeVal::Lit(l)))
+                    if !kb.holds_literal(rs, p, kb.literal_value(l)) =>
+                {
+                    return;
+                }
+                (Some(_), None) if frontier.is_none() => frontier = Some((s, o, p, lit, true)),
+                (None, Some(_)) if frontier.is_none() && !lit => {
+                    frontier = Some((s, o, p, lit, false))
+                }
+                _ => {}
             }
-            (Some(NodeVal::Res(rs)), Some(NodeVal::Lit(l))) if !kb.holds_literal(*rs, p, l) => {
-                return;
+        }
+
+        match frontier {
+            // No expandable edge left. Complete if all nodes assigned;
+            // unassigned nodes unreachable via edges (can happen only for
+            // untyped nodes hanging off unassigned subjects) are dropped.
+            None => self.complete(),
+            Some((s, o, p, obj_literal, forward)) => {
+                if forward {
+                    let Some(NodeVal::Res(rs)) = self.assignment[s] else {
+                        unreachable!("forward frontier has assigned subject")
+                    };
+                    if obj_literal {
+                        for l in kb.literals_linked(rs, p) {
+                            self.assign(o, NodeVal::Lit(l));
+                        }
+                    } else {
+                        let oclass = self.pattern.nodes()[self.node_indexes[o]].class;
+                        for r in kb.objects_linked(rs, p) {
+                            if oclass.is_none_or(|c| kb.has_type(r, c)) {
+                                self.assign(o, NodeVal::Res(r));
+                            }
+                        }
+                    }
+                } else {
+                    let Some(NodeVal::Res(ro)) = self.assignment[o] else {
+                        return; // literal object cannot seed reverse expansion
+                    };
+                    let sclass = self.pattern.nodes()[self.node_indexes[s]].class;
+                    for r in kb.subjects_linking(ro, p) {
+                        if sclass.is_none_or(|c| kb.has_type(r, c)) {
+                            self.assign(s, NodeVal::Res(r));
+                        }
+                    }
+                }
             }
-            (Some(_), None) if frontier.is_none() => frontier = Some((s, o, p, lit, true)),
-            (None, Some(_)) if frontier.is_none() && !lit => frontier = Some((s, o, p, lit, false)),
-            _ => {}
         }
     }
 
-    match frontier {
-        None => {
-            // No expandable edge left. Complete if all nodes assigned.
-            if values.iter().all(Option::is_some) {
-                if graphs.len() >= cap {
-                    *truncated = true;
-                    return;
-                }
-                graphs.push(InstanceGraph {
-                    values: values.iter().cloned().map(Option::unwrap).collect(),
-                    norms: Vec::new(), // filled by the inverted-list pass
-                });
-            }
-            // Unassigned nodes unreachable via edges (can happen only for
-            // untyped nodes hanging off unassigned subjects) — drop.
+    /// Try `value` in `slot`, recurse, and undo.
+    fn assign(&mut self, slot: usize, value: NodeVal) {
+        self.assignment[slot] = Some(value);
+        self.expand();
+        self.assignment[slot] = None;
+    }
+
+    /// Record the current assignment as a graph if every slot is set,
+    /// interning its values.
+    fn complete(&mut self) {
+        if !self.assignment.iter().all(Option::is_some) {
+            return;
         }
-        Some((s, o, p, obj_literal, forward)) => {
-            if forward {
-                let Some(NodeVal::Res(rs)) = values[s].clone() else {
-                    unreachable!("forward frontier has assigned subject")
-                };
-                if obj_literal {
-                    for l in kb.literals_linked(rs, p) {
-                        values[o] = Some(NodeVal::Lit(kb.literal_value(l).to_string()));
-                        expand(
-                            kb,
-                            pattern,
-                            node_indexes,
-                            edges,
-                            values,
-                            graphs,
-                            cap,
-                            truncated,
-                        );
-                        values[o] = None;
-                    }
-                } else {
-                    let oclass = pattern.nodes()[node_indexes[o]].class;
-                    for r in kb.objects_linked(rs, p) {
-                        if let Some(c) = oclass {
-                            if !kb.has_type(r, c) {
-                                continue;
-                            }
-                        }
-                        values[o] = Some(NodeVal::Res(r));
-                        expand(
-                            kb,
-                            pattern,
-                            node_indexes,
-                            edges,
-                            values,
-                            graphs,
-                            cap,
-                            truncated,
-                        );
-                        values[o] = None;
-                    }
-                }
-            } else {
-                let Some(NodeVal::Res(ro)) = values[o].clone() else {
-                    return; // literal object cannot seed reverse expansion
-                };
-                let sclass = pattern.nodes()[node_indexes[s]].class;
-                for r in kb.subjects_linking(ro, p) {
-                    if let Some(c) = sclass {
-                        if !kb.has_type(r, c) {
-                            continue;
-                        }
-                    }
-                    values[s] = Some(NodeVal::Res(r));
-                    expand(
-                        kb,
-                        pattern,
-                        node_indexes,
-                        edges,
-                        values,
-                        graphs,
-                        cap,
-                        truncated,
-                    );
-                    values[s] = None;
-                }
+        // Graph ids, value ids and posting offsets are `u32`, so the u32
+        // space caps the graph arena like `cap` does.
+        let slots = self.assignment.len();
+        let full = self.graphs.len() + slots > u32::MAX as usize;
+        if self.graphs.len() / slots >= self.cap || full {
+            self.truncated = true;
+            return;
+        }
+        for &v in self.assignment.iter().flatten() {
+            let id = match v {
+                NodeVal::Res(r) => &mut self.resource_ids[r.index()],
+                NodeVal::Lit(l) => self.literal_ids.entry(l).or_insert(u32::MAX),
+            };
+            if *id == u32::MAX {
+                *id = self.values.len() as u32;
+                self.values.push(v);
             }
+            self.graphs.push(*id);
         }
     }
 }
@@ -383,131 +509,327 @@ pub fn topk_repairs_resolved(
     config: &RepairConfig,
     resolution: Option<(&TableResolution, usize)>,
 ) -> Vec<Repair> {
-    if k == 0 {
-        return Vec::new();
-    }
-    assert_eq!(
-        pattern.nodes().len(),
-        index.node_columns.len(),
-        "repair index was built for a different pattern"
-    );
-    let cost_of = |col: usize| -> f64 {
-        config
-            .column_costs
-            .as_ref()
-            .and_then(|c| c.get(col))
-            .copied()
-            .unwrap_or(1.0)
+    let query = TupleQuery {
+        index,
+        kb,
+        pattern,
+        row,
+        k,
+        config,
+        resolution,
     };
-    let norm_of_cell = |col: usize| -> Option<Cow<'_, str>> {
-        let cell = row.get(col).and_then(Value::as_str)?;
-        match resolution {
-            Some((res, r)) => Some(
-                res.cell_norm(col, r)
-                    .map(Cow::Borrowed)
-                    .unwrap_or_else(|| Cow::Owned(sim::normalize(cell))),
-            ),
-            None => Some(Cow::Owned(sim::normalize(cell))),
-        }
-    };
+    query.run(Candidates::Overlap, &mut Scratch::default())
+}
 
-    // Top-k truncation accounting: set whenever a candidate list was cut
-    // to fit `k` (the tuple had more evidence than the caller asked for).
-    let mut truncated = false;
-    // Top-k candidate repairs per component.
-    let mut per_component: Vec<Vec<Repair>> = Vec::new();
-    for comp in &index.components {
-        // Normalized tuple cell per slot, computed once per component
-        // (not once per overlapping graph as historically).
-        let slot_norms: Vec<Option<Cow<'_, str>>> = comp
-            .node_indexes
+/// Which instance graphs a tuple is scored against.
+#[derive(Debug, Clone, Copy)]
+enum Candidates {
+    /// Only graphs sharing a normalized value with the tuple (the
+    /// inverted-list optimization).
+    Overlap,
+    /// Every graph (the naive baseline).
+    All,
+}
+
+/// Candidate repairs as integer keys `(cost, [(col << 32) | rank …])`,
+/// their change lists packed back to back in one arena.
+#[derive(Debug, Default)]
+struct KeyList {
+    keys: Vec<Key>,
+    changes: Vec<u64>,
+}
+
+/// One candidate: its cost and its change list's span in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    cost: f64,
+    start: u32,
+    len: u32,
+}
+
+impl Key {
+    /// This key's change list in `changes`, its list's arena.
+    fn span(self, changes: &[u64]) -> &[u64] {
+        &changes[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
+/// The changed-column set of a change list (the high halves of its
+/// entries), hashed and compared without allocating.
+#[derive(Debug, Clone, Copy)]
+struct ColumnSet<'a>(&'a [u64]);
+
+impl PartialEq for ColumnSet<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len() && self.0.iter().zip(other.0).all(|(a, b)| a >> 32 == b >> 32)
+    }
+}
+
+impl Eq for ColumnSet<'_> {}
+
+impl Hash for ColumnSet<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.len());
+        for e in self.0 {
+            state.write_u64(e >> 32);
+        }
+    }
+}
+
+impl KeyList {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.changes.clear();
+    }
+
+    /// Close a candidate whose changes were pushed since `start`.
+    fn push_from(&mut self, cost: f64, start: usize) {
+        self.keys.push(Key {
+            cost,
+            start: start as u32,
+            len: (self.changes.len() - start) as u32,
+        });
+    }
+
+    /// Least cost first, then by change list — the order of
+    /// `(cost, Vec<(col, label)>)`.
+    fn sort(&mut self) {
+        let changes = &self.changes;
+        self.keys.sort_unstable_by(|a, b| {
+            a.cost
+                .total_cmp(&b.cost)
+                .then_with(|| a.span(changes).cmp(b.span(changes)))
+        });
+    }
+
+    /// Drop adjacent candidates proposing the same changes (equal change
+    /// lists imply equal costs, so a sorted list holds them adjacently).
+    fn dedup(&mut self) {
+        let changes = &self.changes;
+        self.keys
+            .dedup_by(|a, b| a.span(changes) == b.span(changes));
+    }
+
+    /// Drop candidate groups with no evidential support: when more than
+    /// `max_alternatives` candidates change exactly the same column set
+    /// (to different values), the tuple's overlap does not determine
+    /// those cells and proposing any of them is a guess. The no-op
+    /// candidate (empty change set) is always kept.
+    fn drop_unsupported_groups(&mut self, max_alternatives: usize) {
+        if max_alternatives == 0 {
+            return;
+        }
+        let changes = &self.changes;
+        let cols = |k: &Key| ColumnSet(k.span(changes));
+        let mut counts: HashMap<ColumnSet<'_>, usize> = HashMap::new();
+        for k in &self.keys {
+            *counts.entry(cols(k)).or_insert(0) += 1;
+        }
+        self.keys
+            .retain(|k| k.len == 0 || counts[&cols(k)] <= max_alternatives);
+    }
+
+    /// Diversify a sorted candidate list and keep `k`: among
+    /// equal-evidence alternatives, a suggestion list serves the user
+    /// better when the k slots cover *different* cell sets ("which cell
+    /// is wrong?") than when they spell k variants of the same cell.
+    /// Candidates whose changed-column set is new come first (still
+    /// cost-ordered — the cheapest candidate overall always stays on
+    /// top); duplicates of an already-covered column set fill the
+    /// remaining slots.
+    fn diversify(&mut self, k: usize) {
+        let changes = &self.changes;
+        let mut seen: HashSet<ColumnSet<'_>> = HashSet::new();
+        let (mut primary, rest): (Vec<Key>, Vec<Key>) = self
+            .keys
             .iter()
-            .map(|&ni| norm_of_cell(index.node_columns[ni]))
-            .collect();
-        // Gather overlapping graphs via the inverted lists.
-        let mut overlap: Vec<u32> = Vec::new();
-        for (slot, norm) in slot_norms.iter().enumerate() {
-            let Some(norm) = norm else {
-                continue;
-            };
-            if let Some(gs) = comp.inverted.get(&(slot, norm.to_string())) {
-                overlap.extend_from_slice(gs);
+            .partition(|key| seen.insert(ColumnSet(key.span(changes))));
+        primary.extend(rest);
+        primary.truncate(k);
+        self.keys = primary;
+    }
+
+    /// Every pairing of `self` with `other`, costs added and change lists
+    /// concatenated (self's first), into `out`.
+    fn combine_into(&self, other: &KeyList, out: &mut KeyList) {
+        out.clear();
+        for &base in &self.keys {
+            for &cand in &other.keys {
+                let start = out.changes.len();
+                out.changes.extend_from_slice(base.span(&self.changes));
+                out.changes.extend_from_slice(cand.span(&other.changes));
+                out.push_from(base.cost + cand.cost, start);
             }
         }
-        overlap.sort_unstable();
-        overlap.dedup();
-        if overlap.is_empty() {
-            continue;
+    }
+}
+
+/// Per-worker buffers reused across tuples.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Normalized-form id of the tuple's cell per slot (`None`: null
+    /// cell, or a form no graph carries).
+    slot_norms: Vec<Option<u32>>,
+    /// Candidate graph ids of the current component.
+    graphs: Vec<u32>,
+    /// The current component's candidates.
+    component: KeyList,
+    /// The running cross-component combination, and its next step.
+    combined: KeyList,
+    next: KeyList,
+}
+
+/// One tuple's top-k request.
+struct TupleQuery<'a> {
+    index: &'a RepairIndex,
+    kb: &'a Kb,
+    pattern: &'a TablePattern,
+    row: &'a [Value],
+    k: usize,
+    config: &'a RepairConfig,
+    resolution: Option<(&'a TableResolution, usize)>,
+}
+
+impl TupleQuery<'_> {
+    /// Score the tuple against `candidates` of every component, rank,
+    /// and combine components additively.
+    fn run(&self, candidates: Candidates, scratch: &mut Scratch) -> Vec<Repair> {
+        let (index, k, config) = (self.index, self.k, self.config);
+        if k == 0 {
+            return Vec::new();
         }
-        let mut cands: Vec<Repair> = overlap
-            .into_iter()
-            .map(|gi| {
-                let g = &comp.graphs[gi as usize];
+        assert_eq!(
+            self.pattern.nodes().len(),
+            index.num_nodes,
+            "repair index was built for a different pattern"
+        );
+        let cost_of = |col: usize| -> f64 {
+            config
+                .column_costs
+                .as_ref()
+                .and_then(|c| c.get(col))
+                .copied()
+                .unwrap_or(1.0)
+        };
+
+        // Top-k truncation accounting: set whenever a candidate list was
+        // cut to fit `k` (the tuple had more evidence than asked for).
+        let mut truncated = false;
+        let mut scored = 0u64;
+        let mut any = false;
+        scratch.combined.clear();
+        scratch.combined.push_from(0.0, 0);
+        for comp in &index.components {
+            scratch.slot_norms.clear();
+            scratch
+                .slot_norms
+                .extend(comp.columns.iter().map(|&col| self.norm_id(comp, col)));
+            scratch.graphs.clear();
+            match candidates {
+                Candidates::Overlap => {
+                    for (slot, norm) in scratch.slot_norms.iter().enumerate() {
+                        if let Some(norm) = *norm {
+                            scratch.graphs.extend_from_slice(comp.posting(slot, norm));
+                        }
+                    }
+                    scratch.graphs.sort_unstable();
+                    scratch.graphs.dedup();
+                }
+                Candidates::All => scratch.graphs.extend(0..comp.num_graphs() as u32),
+            }
+            if scratch.graphs.is_empty() {
+                continue;
+            }
+            scored += scratch.graphs.len() as u64;
+
+            let list = &mut scratch.component;
+            list.clear();
+            for &g in &scratch.graphs {
+                let start = list.changes.len();
                 let mut cost = 0.0;
-                let mut changes = Vec::new();
-                for (slot, &ni) in comp.node_indexes.iter().enumerate() {
-                    let col = index.node_columns[ni];
-                    let matches = slot_norms[slot].as_deref() == Some(g.norms[slot].as_str());
-                    if !matches {
-                        let new_val = match &g.values[slot] {
-                            NodeVal::Res(r) => kb.label_of(*r).to_string(),
-                            NodeVal::Lit(l) => l.clone(),
-                        };
+                for (slot, &v) in comp.graph(g).iter().enumerate() {
+                    if scratch.slot_norms[slot] != Some(comp.value_norm[v as usize]) {
+                        let col = comp.columns[slot];
                         cost += cost_of(col);
-                        changes.push((col, new_val));
+                        list.changes
+                            .push(((col as u64) << 32) | u64::from(comp.value_rank[v as usize]));
                     }
                 }
-                Repair { cost, changes }
-            })
-            .collect();
-        cands.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
-        cands.dedup_by(|a, b| a.changes == b.changes);
-        drop_unsupported_groups(&mut cands, config.max_alternatives_per_cell_set);
-        truncated |= cands.len() > k;
-        per_component.push(diversify(cands, k));
-    }
-    per_component.retain(|c| !c.is_empty());
-
-    if per_component.is_empty() {
-        record_tuple(config, &[], truncated);
-        return Vec::new();
-    }
-
-    // Combine components additively, keeping the k cheapest merges.
-    let mut combined: Vec<Repair> = vec![Repair {
-        cost: 0.0,
-        changes: Vec::new(),
-    }];
-    for comp in per_component {
-        let mut next = Vec::with_capacity(combined.len() * comp.len());
-        for base in &combined {
-            for cand in &comp {
-                let mut changes = base.changes.clone();
-                changes.extend(cand.changes.iter().cloned());
-                next.push(Repair {
-                    cost: base.cost + cand.cost,
-                    changes,
-                });
+                list.push_from(cost, start);
             }
+            list.sort();
+            list.dedup();
+            list.drop_unsupported_groups(config.max_alternatives_per_cell_set);
+            truncated |= list.keys.len() > k;
+            list.diversify(k);
+            if list.keys.is_empty() {
+                continue;
+            }
+
+            // Combine with the components so far, keeping the cheapest
+            // merges with headroom so the final diversification has
+            // material.
+            any = true;
+            scratch.combined.combine_into(list, &mut scratch.next);
+            std::mem::swap(&mut scratch.combined, &mut scratch.next);
+            let combined = &mut scratch.combined;
+            combined.sort();
+            truncated |= combined.keys.len() > k.saturating_mul(3);
+            combined.keys.truncate(k.saturating_mul(3));
         }
-        next.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
-        // Keep extra headroom so the final diversification has material.
-        truncated |= next.len() > k.saturating_mul(3);
-        next.truncate(k.saturating_mul(3));
-        combined = next;
+        config
+            .recorder
+            .incr_by(Counter::RepairCandidatesScored, scored);
+
+        let out = if any {
+            truncated |= scratch.combined.keys.len() > k;
+            scratch.combined.diversify(k);
+            self.materialize(&scratch.combined)
+        } else {
+            Vec::new()
+        };
+        record_tuple(config, &out, truncated);
+        out
     }
-    truncated |= combined.len() > k;
-    let out = diversify(combined, k);
-    record_tuple(config, &out, truncated);
-    out
+
+    /// Normalized-form id of the tuple's cell in `col`, if any graph of
+    /// `comp` carries that form.
+    fn norm_id(&self, comp: &ComponentIndex, col: usize) -> Option<u32> {
+        let cell = self.row.get(col).and_then(Value::as_str)?;
+        let cached = self.resolution.and_then(|(res, r)| res.cell_norm(col, r));
+        match cached {
+            Some(norm) => comp.norm_ids.get(norm).copied(),
+            None => comp.norm_ids.get(sim::normalize(cell).as_str()).copied(),
+        }
+    }
+
+    /// Turn the surviving keys back into `(column, label)` changes.
+    fn materialize(&self, list: &KeyList) -> Vec<Repair> {
+        let index = self.index;
+        list.keys
+            .iter()
+            .map(|&key| Repair {
+                cost: key.cost,
+                changes: key
+                    .span(&list.changes)
+                    .iter()
+                    .map(|&e| {
+                        let col = (e >> 32) as usize;
+                        let rank = e as u32 as usize;
+                        // invariant: every key entry was built from a slot
+                        // of some component whose columns include `col`.
+                        let comp = index
+                            .components
+                            .iter()
+                            .find(|c| c.columns.contains(&col))
+                            .expect("key column belongs to a component");
+                        let value = comp.values[comp.rank_value[rank] as usize];
+                        (col, value.label(self.kb).to_string())
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
 }
 
 /// Export one tuple's repair outcome as run metrics. Called per tuple —
@@ -563,87 +885,43 @@ pub fn generate_repairs_resolved(
     threads: Threads,
     resolution: Option<&TableResolution>,
 ) -> Vec<(usize, Vec<Repair>)> {
-    let out = katara_exec::par_map(threads, rows, |&row| {
-        // Cooperative cancellation per tuple. Workers that already
-        // claimed later rows may still finish them, but the result is
-        // truncated below to the contiguous completed prefix, so the
-        // returned repairs are always a prefix of the undeadlined run
-        // (no torn state, regardless of thread count).
-        if config.deadline.expired() {
-            return None;
-        }
-        Some((
-            row,
-            topk_repairs_resolved(
+    let out =
+        katara_exec::par_map_indexed_with(threads, rows.len(), Scratch::default, |scratch, i| {
+            // Cooperative cancellation per tuple. Workers that already
+            // claimed later rows may still finish them, but the result is
+            // truncated below to the contiguous completed prefix, so the
+            // returned repairs are always a prefix of the undeadlined run
+            // (no torn state, regardless of thread count).
+            if config.deadline.expired() {
+                return None;
+            }
+            let row = rows[i];
+            let query = TupleQuery {
                 index,
                 kb,
                 pattern,
-                table.row(row),
+                row: table.row(row),
                 k,
                 config,
-                resolution.map(|res| (res, row)),
-            ),
-        ))
-    });
+                resolution: resolution.map(|res| (res, row)),
+            };
+            Some((row, query.run(Candidates::Overlap, scratch)))
+        });
     out.into_iter()
         .take_while(Option::is_some)
         .flatten()
         .collect()
 }
 
-/// Drop candidate groups with no evidential support: when more than
-/// `max_alternatives` candidates change exactly the same column set (to
-/// different values), the tuple's overlap does not determine those cells
-/// and proposing any of them is a guess. The no-op candidate (empty
-/// change set) is always kept.
-fn drop_unsupported_groups(cands: &mut Vec<Repair>, max_alternatives: usize) {
-    if max_alternatives == 0 {
-        return;
-    }
-    let mut counts: std::collections::HashMap<Vec<usize>, usize> = std::collections::HashMap::new();
-    for c in cands.iter() {
-        let cols: Vec<usize> = c.changes.iter().map(|(col, _)| *col).collect();
-        *counts.entry(cols).or_insert(0) += 1;
-    }
-    cands.retain(|c| {
-        if c.changes.is_empty() {
-            return true;
-        }
-        let cols: Vec<usize> = c.changes.iter().map(|(col, _)| *col).collect();
-        counts[&cols] <= max_alternatives
-    });
-}
-
-/// Diversify a cost-sorted candidate list: among equal-evidence
-/// alternatives, a suggestion list serves the user better when the k
-/// slots cover *different* cell sets ("which cell is wrong?") than when
-/// they spell k variants of the same cell. Candidates whose
-/// changed-column set is new come first (still cost-ordered — the
-/// cheapest candidate overall always stays on top); duplicates of an
-/// already-covered column set fill the remaining slots.
-fn diversify(cands: Vec<Repair>, k: usize) -> Vec<Repair> {
-    let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-    let mut primary = Vec::new();
-    let mut rest = Vec::new();
-    for c in cands {
-        let cols: Vec<usize> = c.changes.iter().map(|(col, _)| *col).collect();
-        if seen.insert(cols) {
-            primary.push(c);
-        } else {
-            rest.push(c);
-        }
-    }
-    primary.extend(rest);
-    primary.truncate(k);
-    primary
-}
-
 /// The naive variant of Algorithm 4 ("compute the distance between `t`
 /// and each graph in `G` … unfortunately, this is too slow in practice"):
 /// scores *every* instance graph instead of only those sharing a value
 /// with the tuple. Kept as the ablation baseline for the inverted-list
-/// optimization; results match [`topk_repairs`] on its overlap set but
-/// may additionally surface zero-overlap (full-rewrite) repairs.
+/// optimization. Ranking, dedup, the ambiguity cut-off and
+/// diversification are the indexed path's own, so the candidate set is
+/// the only difference: results match [`topk_repairs`] whenever the
+/// extra, zero-overlap graphs cannot enter the top k, and the naive
+/// variant may additionally surface zero-overlap (full-rewrite) repairs.
 pub fn topk_repairs_naive(
     index: &RepairIndex,
     kb: &Kb,
@@ -652,89 +930,16 @@ pub fn topk_repairs_naive(
     k: usize,
     config: &RepairConfig,
 ) -> Vec<Repair> {
-    if k == 0 {
-        return Vec::new();
-    }
-    assert_eq!(pattern.nodes().len(), index.node_columns.len());
-    let cost_of = |col: usize| -> f64 {
-        config
-            .column_costs
-            .as_ref()
-            .and_then(|c| c.get(col))
-            .copied()
-            .unwrap_or(1.0)
+    let query = TupleQuery {
+        index,
+        kb,
+        pattern,
+        row,
+        k,
+        config,
+        resolution: None,
     };
-    let mut per_component: Vec<Vec<Repair>> = Vec::new();
-    for comp in &index.components {
-        if comp.graphs.is_empty() {
-            continue;
-        }
-        let slot_norms: Vec<Option<String>> = comp
-            .node_indexes
-            .iter()
-            .map(|&ni| {
-                row.get(index.node_columns[ni])
-                    .and_then(Value::as_str)
-                    .map(sim::normalize)
-            })
-            .collect();
-        let mut cands: Vec<Repair> = comp
-            .graphs
-            .iter()
-            .map(|g| {
-                let mut cost = 0.0;
-                let mut changes = Vec::new();
-                for (slot, &ni) in comp.node_indexes.iter().enumerate() {
-                    let col = index.node_columns[ni];
-                    let matches = slot_norms[slot].as_deref() == Some(g.norms[slot].as_str());
-                    if !matches {
-                        let new_val = match &g.values[slot] {
-                            NodeVal::Res(r) => kb.label_of(*r).to_string(),
-                            NodeVal::Lit(l) => l.clone(),
-                        };
-                        cost += cost_of(col);
-                        changes.push((col, new_val));
-                    }
-                }
-                Repair { cost, changes }
-            })
-            .collect();
-        cands.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
-        cands.dedup_by(|a, b| a.changes == b.changes);
-        per_component.push(diversify(cands, k));
-    }
-    if per_component.is_empty() {
-        return Vec::new();
-    }
-    let mut combined: Vec<Repair> = vec![Repair {
-        cost: 0.0,
-        changes: Vec::new(),
-    }];
-    for comp in per_component {
-        let mut next = Vec::with_capacity(combined.len() * comp.len());
-        for base in &combined {
-            for cand in &comp {
-                let mut changes = base.changes.clone();
-                changes.extend(cand.changes.iter().cloned());
-                next.push(Repair {
-                    cost: base.cost + cand.cost,
-                    changes,
-                });
-            }
-        }
-        next.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.changes.cmp(&b.changes))
-        });
-        next.truncate(k.saturating_mul(3));
-        combined = next;
-    }
-    diversify(combined, k)
+    query.run(Candidates::All, &mut Scratch::default())
 }
 
 /// Convenience: apply a repair to a table row (used by examples/eval).
@@ -986,6 +1191,37 @@ mod tests {
         let all = topk_repairs_naive(&index, &kb, &pattern, &alien, 2, &RepairConfig::default());
         assert!(!all.is_empty());
         assert_eq!(all[0].changes.len(), 4, "full rewrite");
+    }
+
+    #[test]
+    fn work_counters_are_thread_count_invariant() {
+        let (kb, pattern) = setting();
+        let mut t = Table::with_opaque_columns("t", 4);
+        t.push_text_row(&["Pirlo", "Italy", "Madrid", "Juve"]);
+        t.push_text_row(&["Zzz", "Qqq", "Www", "Eee"]);
+        t.push_text_row(&["Ramos", "Spain", "Rome", "Benfica"]);
+        let rows: Vec<usize> = (0..t.num_rows()).collect();
+        let counts = |threads: usize| {
+            let rec = Arc::new(katara_obs::RunRecorder::new());
+            let config = RepairConfig {
+                recorder: rec.clone(),
+                ..RepairConfig::default()
+            };
+            let index = RepairIndex::build(&kb, &pattern, &config);
+            let threads = Threads::fixed(threads);
+            generate_repairs(&index, &kb, &pattern, &t, &rows, 3, &config, threads);
+            (
+                rec.counter_total(Counter::RepairIndexValues),
+                rec.counter_total(Counter::RepairCandidatesScored),
+            )
+        };
+        // 12 distinct values across the three graphs. Scored: t3 overlaps
+        // Pirlo's and Ramos's graphs, the alien row nothing, and the last
+        // row all three graphs (Ramos/Spain, Rome, Benfica).
+        assert_eq!(counts(1), (12, 2 + 3));
+        for threads in [2, 8] {
+            assert_eq!(counts(threads), counts(1), "{threads} threads");
+        }
     }
 
     #[test]

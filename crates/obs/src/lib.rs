@@ -106,8 +106,10 @@ metric_enum! {
         KbPlanRelFirst => "kb.plan_rel_first",
         KbPlanTypeFirst => "kb.plan_type_first",
         RepairBudgetStopped => "repair.budget_stopped",
+        RepairCandidatesScored => "repair.candidates_scored",
         RepairGraphsBuilt => "repair.graphs_built",
         RepairIndexTruncated => "repair.index_truncated",
+        RepairIndexValues => "repair.index_values",
         RepairTopkTruncations => "repair.topk_truncations",
         RepairTuplesRepaired => "repair.tuples_repaired",
         ResolveCandidatesFallback => "resolve.candidates_fallback",

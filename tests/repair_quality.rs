@@ -129,8 +129,10 @@ fn naive_matches_indexed_on_full_table() {
     let (kb, pattern, index) = person_index(&corpus);
     let g = &corpus.person;
     let naive_cfg = RepairConfig {
-        // Disable the ambiguity cutoff for the equivalence check (the
-        // naive path doesn't implement it).
+        // Disable the ambiguity cutoff for the equivalence check: both
+        // paths apply it, but it counts alternatives within the candidate
+        // set, and the naive set (every graph) is larger than the overlap,
+        // so a group can be cut on one side only.
         max_alternatives_per_cell_set: usize::MAX,
         ..RepairConfig::default()
     };
