@@ -14,6 +14,7 @@
 //! tuple is neither trusted nor condemned — it is excluded from
 //! enrichment and from repair generation instead of being mislabeled.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use katara_crowd::{Answer, Crowd, Oracle, Question};
@@ -202,9 +203,11 @@ pub fn annotate<O: Oracle>(
 
 /// Snapshot-aware variant of [`annotate`]: cell lookups during tuple
 /// matching and entity resolution go through `resolution` when given.
-/// KB enrichment mutates `kb` mid-run; the snapshot detects the version
-/// change and transparently falls back to live queries from that point
-/// on, so results are identical to the direct path.
+/// A snapshot that is stale for `kb` is rebuilt once here. Enrichment
+/// writes are patched into the snapshot as they happen, so every later
+/// lookup sees them and results are identical to the direct path. The
+/// first patch copies `resolution`; the caller's snapshot is never
+/// mutated.
 pub fn annotate_resolved<O: Oracle>(
     table: &Table,
     pattern: &TablePattern,
@@ -213,7 +216,8 @@ pub fn annotate_resolved<O: Oracle>(
     config: &AnnotationConfig,
     resolution: Option<&TableResolution>,
 ) -> AnnotationResult {
-    annotate_resolved_cached(table, pattern, kb, crowd, config, resolution, None)
+    let mut snapshot = resolution.map(|res| res.current_for(table, kb));
+    annotate_resolved_cached(table, pattern, kb, crowd, config, snapshot.as_mut(), None).0
 }
 
 /// [`annotate_resolved`] with a carry-over cache: `full_rows[r]` asserts
@@ -226,23 +230,62 @@ pub fn annotate_resolved<O: Oracle>(
 /// (DESIGN.md §5j) rests on callers only passing rows whose `Full`
 /// outcome is still guaranteed. The feedback re-pass never uses the
 /// cache (the stripped pattern differs from the cached one).
-#[allow(clippy::too_many_arguments)]
-pub fn annotate_resolved_cached<O: Oracle>(
+///
+/// `snapshot` must be current for `kb`. It is patched in place after
+/// every enrichment write (a borrowed one is copied on the first); the
+/// second return value counts the values those patches re-resolved.
+pub(crate) fn annotate_resolved_cached<O: Oracle>(
     table: &Table,
     pattern: &TablePattern,
     kb: &mut Kb,
     crowd: &mut Crowd<O>,
     config: &AnnotationConfig,
-    resolution: Option<&TableResolution>,
+    snapshot: Option<&mut Cow<'_, TableResolution>>,
     full_rows: Option<&[bool]>,
-) -> AnnotationResult {
+) -> (AnnotationResult, usize) {
     // Capture spans both annotation passes: the returned delta is the
-    // complete, replayable record of what this run wrote to `kb`.
+    // complete, replayable record of what this run wrote to `kb`, and
+    // the snapshot follows the capture op by op.
     kb.begin_delta_capture();
-    let mut result =
-        annotate_resolved_inner(table, pattern, kb, crowd, config, resolution, full_rows);
+    let mut snapshot = snapshot.map(|res| Tracked {
+        res,
+        patched_ops: 0,
+        values_repatched: 0,
+    });
+    let mut result = annotate_resolved_inner(
+        table,
+        pattern,
+        kb,
+        crowd,
+        config,
+        snapshot.as_mut(),
+        full_rows,
+    );
     result.delta = kb.take_delta();
-    result
+    (result, snapshot.map_or(0, |s| s.values_repatched))
+}
+
+/// The run's snapshot plus how much of the running delta capture it has
+/// absorbed.
+struct Tracked<'s, 'r> {
+    res: &'s mut Cow<'r, TableResolution>,
+    /// Captured ops already patched into `res`.
+    patched_ops: usize,
+    /// Values the patches re-resolved, summed.
+    values_repatched: usize,
+}
+
+impl Tracked<'_, '_> {
+    /// Patch the ops captured since the last call into the snapshot,
+    /// copying a borrowed snapshot on its first write.
+    fn sync(&mut self, kb: &Kb) {
+        let ops = &kb.captured_ops()[self.patched_ops..];
+        if !ops.is_empty() {
+            let patch = self.res.to_mut().apply_ops(kb, ops);
+            self.values_repatched += patch.values_repatched;
+            self.patched_ops += ops.len();
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -252,7 +295,7 @@ fn annotate_resolved_inner<O: Oracle>(
     kb: &mut Kb,
     crowd: &mut Crowd<O>,
     config: &AnnotationConfig,
-    resolution: Option<&TableResolution>,
+    mut snapshot: Option<&mut Tracked>,
     full_rows: Option<&[bool]>,
 ) -> AnnotationResult {
     // Boolean fact answers are memoized: duplicate tuples (and the
@@ -260,7 +303,14 @@ fn annotate_resolved_inner<O: Oracle>(
     // a no-answer is as reusable as a yes-answer.
     let mut memo: HashMap<(String, String, String), bool> = HashMap::new();
     let result = annotate_once(
-        table, pattern, kb, crowd, config, &mut memo, resolution, full_rows,
+        table,
+        pattern,
+        kb,
+        crowd,
+        config,
+        &mut memo,
+        snapshot.as_deref_mut(),
+        full_rows,
     );
     if table.num_rows() < config.feedback_min_tuples {
         return result;
@@ -340,7 +390,7 @@ fn annotate_resolved_inner<O: Oracle>(
         return result; // cannot strip into a valid pattern; keep pass 1
     };
     let mut second = annotate_once(
-        table, &reduced, kb, crowd, config, &mut memo, resolution, None,
+        table, &reduced, kb, crowd, config, &mut memo, snapshot, None,
     );
     second.enriched_facts += result.enriched_facts;
     second.enriched_entities += result.enriched_entities;
@@ -358,7 +408,7 @@ fn annotate_once<O: Oracle>(
     crowd: &mut Crowd<O>,
     config: &AnnotationConfig,
     memo: &mut HashMap<(String, String, String), bool>,
-    resolution: Option<&TableResolution>,
+    mut snapshot: Option<&mut Tracked>,
     full_rows: Option<&[bool]>,
 ) -> AnnotationResult {
     let mut result = AnnotationResult {
@@ -394,7 +444,8 @@ fn annotate_once<O: Oracle>(
             continue;
         }
         let row = table.row(row_idx);
-        let report = pattern.match_tuple_resolved(kb, row, resolution.map(|r| (r, row_idx)));
+        let report =
+            pattern.match_tuple_resolved(kb, row, snapshot.as_ref().map(|s| (&**s.res, row_idx)));
 
         if report.outcome == TupleMatch::Full {
             result.tuples.push(TupleAnnotation {
@@ -493,7 +544,8 @@ fn annotate_once<O: Oracle>(
                     &confirmed_nodes,
                     &confirmed_edges,
                     &mut result,
-                    resolution.map(|r| (r, row_idx)),
+                    snapshot.as_deref_mut(),
+                    row_idx,
                 );
             }
             TupleStatus::ValidatedWithCrowd
@@ -537,7 +589,9 @@ fn ask_memoized<O: Oracle>(
     Some(answer)
 }
 
-/// Insert crowd-confirmed types and relationships into the KB.
+/// Insert crowd-confirmed types and relationships of row `row_idx` into
+/// the KB, keeping the snapshot (if any) patched before each lookup and
+/// when done.
 #[allow(clippy::too_many_arguments)]
 fn enrich(
     kb: &mut Kb,
@@ -546,9 +600,9 @@ fn enrich(
     confirmed_nodes: &[usize],
     confirmed_edges: &[usize],
     result: &mut AnnotationResult,
-    resolution: Option<(&TableResolution, usize)>,
+    mut snapshot: Option<&mut Tracked>,
+    row_idx: usize,
 ) {
-    let resolved = |col: usize| resolution.map(|(res, row_idx)| (res, col, row_idx));
     for &ni in confirmed_nodes {
         let node = pattern.nodes()[ni];
         let (Some(class), Some(cell)) = (node.class, row[node.column].as_str()) else {
@@ -557,7 +611,7 @@ fn enrich(
         let r = resolve_or_create(
             kb,
             cell,
-            resolved(node.column),
+            snapshot.as_deref_mut().map(|s| (s, node.column, row_idx)),
             &mut result.enriched_entities,
         );
         kb.add_type(r, class);
@@ -573,7 +627,7 @@ fn enrich(
         let s = resolve_or_create(
             kb,
             &subj,
-            resolved(edge.subject),
+            snapshot.as_deref_mut().map(|s| (s, edge.subject, row_idx)),
             &mut result.enriched_entities,
         );
         let obj_node = pattern.node_for_column(edge.object);
@@ -584,7 +638,7 @@ fn enrich(
             let o = resolve_or_create(
                 kb,
                 &obj,
-                resolved(edge.object),
+                snapshot.as_deref_mut().map(|s| (s, edge.object, row_idx)),
                 &mut result.enriched_entities,
             );
             kb.add_fact(s, edge.property, o)
@@ -593,23 +647,37 @@ fn enrich(
             result.enriched_facts += 1;
         }
     }
+    if let Some(s) = snapshot {
+        s.sync(kb);
+    }
 }
 
 /// Resolve a cell to its best-matching KB resource, creating a fresh
 /// entity when the KB has never heard of the value. `resolved` is the
 /// snapshot coordinate `(snapshot, column, row)` of the cell when a
-/// [`TableResolution`] is in play; a stale or absent snapshot entry
-/// falls back to the live query.
+/// [`TableResolution`] is in play. The snapshot is first patched with
+/// the writes made since its last patch, so an entity this tuple just
+/// created is found rather than created twice; without a snapshot the
+/// KB is queried directly.
 fn resolve_or_create(
     kb: &mut Kb,
     cell: &str,
-    resolved: Option<(&TableResolution, usize, usize)>,
+    resolved: Option<(&mut Tracked, usize, usize)>,
     created: &mut usize,
 ) -> ResourceId {
-    let hit = resolved
-        .and_then(|(res, col, row)| res.candidates(kb, col, row))
-        .map(|c| c.first().map(|&(r, _)| r))
-        .unwrap_or_else(|| kb.candidate_resources(cell).first().map(|&(r, _)| r));
+    let candidates = match resolved {
+        Some((snapshot, col, row)) => {
+            snapshot.sync(kb);
+            snapshot
+                .res
+                .candidates(kb, col, row)
+                .unwrap_or_default()
+                .first()
+                .copied()
+        }
+        None => kb.candidate_resources(cell).first().copied(),
+    };
+    let hit = candidates.map(|(r, _)| r);
     if let Some(r) = hit {
         return r;
     }
@@ -1034,6 +1102,68 @@ mod tests {
         assert_eq!(result.tuples[3].status, TupleStatus::Unresolved);
         assert_eq!(result.tuples[4].status, TupleStatus::Unresolved);
         assert_eq!(result.unresolved_rows(), vec![3, 4]);
+    }
+
+    #[test]
+    fn stale_injected_snapshot_is_rebuilt_at_entry() {
+        let (mut kb, _, pattern) = setting();
+        let mut t = Table::with_opaque_columns("soccer", 3);
+        t.push_text_row(&["Totti", "Italy", "Rome"]);
+        let stale = TableResolution::build(&t, &kb, usize::MAX);
+        // The KB learns Totti, and his nationality, after the build.
+        let person = kb.class_by_name("person").unwrap();
+        let nationality = kb.property_by_name("nationality").unwrap();
+        let italy = kb.resource_by_name("Italy").unwrap();
+        let totti = kb.add_entity("Totti", "Totti", &[person]);
+        kb.add_fact(totti, nationality, italy);
+        assert!(!stale.is_current(&kb));
+        let rebuilt = stale.current_for(&t, &kb);
+        assert!(matches!(rebuilt, Cow::Owned(_)));
+        assert!(rebuilt.is_current(&kb));
+
+        // Annotating through the stale snapshot sees the current KB: the
+        // tuple is fully KB-validated and the crowd is never asked.
+        let mut crowd = perfect_crowd();
+        let result = annotate_resolved(
+            &t,
+            &pattern,
+            &mut kb,
+            &mut crowd,
+            &AnnotationConfig::default(),
+            Some(&stale),
+        );
+        assert_eq!(result.tuples[0].status, TupleStatus::ValidatedByKb);
+        assert_eq!(crowd.stats().questions(), 0);
+    }
+
+    #[test]
+    fn annotation_leaves_the_snapshot_current() {
+        let (mut kb, mut t, pattern) = setting();
+        t.push_text_row(&["Totti", "Italy", "Rome"]);
+        let mut snapshot = Cow::Owned(TableResolution::build(&t, &kb, usize::MAX));
+        let (result, _) = annotate_resolved_cached(
+            &t,
+            &pattern,
+            &mut kb,
+            &mut perfect_crowd(),
+            &AnnotationConfig::default(),
+            Some(&mut snapshot),
+            None,
+        );
+        assert_eq!(result.enriched_entities, 1, "Totti");
+        assert_eq!(result.enriched_facts, 2, "Pretoria and Totti's nationality");
+        // Every write, the last one included, is patched in: the owned
+        // snapshot is current and agrees with the enriched KB.
+        assert!(snapshot.is_current(&kb));
+        for c in 0..t.num_columns() {
+            for r in 0..t.num_rows() {
+                let cell = t.cell(r, c).as_str().unwrap();
+                assert_eq!(
+                    snapshot.candidates(&kb, c, r).unwrap(),
+                    kb.candidate_resources(cell)
+                );
+            }
+        }
     }
 
     #[test]

@@ -409,7 +409,7 @@ pub(crate) fn fold_types_from_counts(
     let mut acc = HashMap::new();
     for (_, id, count) in ids {
         let types = resolution.types_of(kb, id);
-        fold_type_group(kb, num_classes, &types, count, &mut acc);
+        fold_type_group(kb, num_classes, types, count, &mut acc);
     }
     acc
 }

@@ -23,9 +23,9 @@
 //!   caches; appends and deletes shift the window, dirtying every list.
 //!   Edits outside the window leave discovery untouched but still dirty
 //!   the row.
-//! * **KB deltas** ([`EnrichmentDelta`]): the run's own enrichment is
-//!   folded into the snapshot via
-//!   [`TableResolution::apply_enrichment`] after every run; because
+//! * **KB deltas** ([`EnrichmentDelta`]): annotation patches the run's
+//!   own enrichment into the snapshot via
+//!   [`TableResolution::apply_enrichment`] as it writes; because
 //!   tf-idf inputs (class sizes, property subject counts) may have
 //!   moved, *all* cached lists are re-folded on the next run — a cheap
 //!   arithmetic pass over the maintained counts, with zero KB probes.
@@ -48,6 +48,7 @@
 //! functions of (row cells, effective pattern, KB version) and are
 //! reused exactly when that triple is unchanged.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use katara_crowd::{Crowd, CrowdStats, Oracle};
@@ -69,7 +70,7 @@ use crate::pipeline::{
 };
 use crate::rank_join::{discover_topk_with_stats, DiscoveryConfig};
 use crate::repair::{generate_repairs_resolved, Repair, RepairConfig, RepairIndex};
-use crate::resolve::{EnrichmentPatch, TableResolution};
+use crate::resolve::{EnrichmentPatch, ResolveMode, TableResolution};
 use crate::validation::{validate_patterns, ValidationConfig, ValidationOutcome};
 
 /// Per-delta edit accounting, exported as `delta.*` counters.
@@ -93,7 +94,9 @@ struct EditStats {
 pub struct DeltaSession {
     config: KataraConfig,
     table: Table,
-    resolution: TableResolution,
+    /// Always `Owned`. Held as a `Cow` so annotation patches it in place
+    /// through the same copy-on-write handle a shared snapshot uses.
+    resolution: Cow<'static, TableResolution>,
     ncols: usize,
     /// Ordered column pairs in the pipeline's canonical i-outer/j-inner
     /// order; all `pair_*` vectors below are indexed by position here.
@@ -136,11 +139,13 @@ impl DeltaSession {
         crowd: &mut Crowd<O>,
         config: KataraConfig,
     ) -> Result<(Self, CleaningReport), KataraError> {
-        let resolution = TableResolution::build(table, kb, config.candidates.max_rows)
-            .with_recorder(config.recorder.clone());
-        let katara = Katara::new(config.clone());
-        let (report, repair_index) =
-            katara.clean_keeping_index(table, kb, crowd, Some(&resolution))?;
+        let katara = Katara::new(KataraConfig {
+            resolve: ResolveMode::Snapshot,
+            ..config.clone()
+        });
+        let (report, repair_index, resolution) =
+            katara.clean_keeping_index(table, kb, crowd, None)?;
+        let resolution = resolution.expect("a snapshot run hands its snapshot back");
 
         let ncols = table.num_columns();
         let pairs: Vec<(usize, usize)> = (0..ncols)
@@ -169,12 +174,9 @@ impl DeltaSession {
             repair_index: None,
             row_repairs: HashMap::new(),
         };
-        // Fold the run's own KB writes into the snapshot, then warm the
+        // The snapshot already carries the run's own KB writes; warm the
         // discovery caches (bootstrap folding is part of the full run's
         // work, so it is not counted as delta re-scoring).
-        if !report.annotation.delta.is_empty() {
-            session.resolution.apply_enrichment(kb, report.enrichment());
-        }
         session.rebuild_window_counts();
         session.refold(kb);
         session.refresh_full_rows(
@@ -223,7 +225,7 @@ impl DeltaSession {
     /// add an exactly-labelled entity that flips the candidate
     /// short-circuit, something in-run enrichment provably cannot do.
     pub fn apply_enrichment(&mut self, kb: &Kb, delta: &EnrichmentDelta) -> EnrichmentPatch {
-        let patch = self.resolution.apply_enrichment(kb, delta);
+        let patch = self.resolution.to_mut().apply_enrichment(kb, delta);
         if !delta.is_empty() {
             self.needs_full_refold = true;
             self.full_pattern = None;
@@ -373,20 +375,23 @@ impl DeltaSession {
         let pattern = outcome.pattern;
 
         // (3) Annotation, skipping rows whose Full match under this same
-        // pattern is still guaranteed.
+        // pattern is still guaranteed. It patches the session snapshot
+        // after every enrichment write.
         let annotation = {
             let _span = Span::enter(rec.as_ref(), "annotate");
             let full =
                 (self.full_pattern.as_ref() == Some(&pattern)).then_some(self.full_rows.as_slice());
-            annotate_resolved_cached(
+            let (annotation, values_repatched) = annotate_resolved_cached(
                 &self.table,
                 &pattern,
                 kb,
                 crowd,
                 &annotation_cfg,
-                Some(&self.resolution),
+                Some(&mut self.resolution),
                 full,
-            )
+            );
+            rec.incr_by(Counter::DeltaValuesResolved, values_repatched as u64);
+            annotation
         };
         mark_phase("annotate", &mut deadline_phase);
         record_phase_questions(
@@ -438,7 +443,7 @@ impl DeltaSession {
                     self.config.repairs_k,
                     &repair_cfg,
                     self.config.threads,
-                    Some(&self.resolution),
+                    Some(&*self.resolution),
                 )
                 .into_iter()
                 .collect();
@@ -503,12 +508,9 @@ impl DeltaSession {
             questions_saved: run_stats.questions_saved,
         };
 
-        // Post-run bookkeeping: fold this run's own enrichment into the
-        // snapshot (selective patch, not a rebuild) and refresh the
-        // carry-over annotation cache.
+        // Post-run bookkeeping: this run's enrichment may have moved
+        // tf-idf inputs; refresh the carry-over annotation cache.
         if !annotation.delta.is_empty() {
-            let patch = self.resolution.apply_enrichment(kb, &annotation.delta);
-            rec.incr_by(Counter::DeltaValuesResolved, patch.values_repatched as u64);
             self.needs_full_refold = true;
         }
         self.refresh_full_rows(kb, &pattern, &annotation, degradation.deadline_expired);
@@ -608,7 +610,7 @@ impl DeltaSession {
     }
 
     /// Rebuild every support count by scanning the window (bootstrap and
-    /// the stale-snapshot fallback).
+    /// the stale-snapshot rebuild).
     fn rebuild_window_counts(&mut self) {
         let w = self.window();
         for c in 0..self.ncols {
@@ -658,7 +660,7 @@ impl DeltaSession {
                 if row == nrows {
                     // Append: the new row enters the window iff it fits.
                     let strs: Vec<Option<&str>> = cells.iter().map(Value::as_str).collect();
-                    stats.values_resolved += self.resolution.push_row(kb, &strs);
+                    stats.values_resolved += self.resolution.to_mut().push_row(kb, &strs);
                     self.table.push_row(cells.clone());
                     self.full_rows.push(false);
                     stats.touched += 1;
@@ -673,7 +675,7 @@ impl DeltaSession {
                     let mut new_ids = vec![None; self.ncols];
                     let mut raw_changed = false;
                     for (c, v) in cells.iter().enumerate() {
-                        let patch = self.resolution.set_cell(kb, c, row, v.as_str());
+                        let patch = self.resolution.to_mut().set_cell(kb, c, row, v.as_str());
                         stats.values_resolved += usize::from(patch.resolved);
                         new_ids[c] = patch.new;
                         let old_v = self.table.set_cell(row, c, v.clone());
@@ -707,7 +709,7 @@ impl DeltaSession {
                     // out-of-window row in (indices shift up by one).
                     let boundary = (nrows > w).then(|| self.row_ids(w));
                     self.table.remove_row(row);
-                    self.resolution.remove_row(row);
+                    self.resolution.to_mut().remove_row(row);
                     self.remove_window_row(&old_ids);
                     if let Some(b) = boundary {
                         self.add_window_row(&b);
@@ -715,7 +717,7 @@ impl DeltaSession {
                     self.mark_all_dirty();
                 } else {
                     self.table.remove_row(row);
-                    self.resolution.remove_row(row);
+                    self.resolution.to_mut().remove_row(row);
                 }
                 self.full_rows.remove(row);
                 self.row_repairs = std::mem::take(&mut self.row_repairs)
@@ -760,7 +762,7 @@ impl DeltaSession {
             // fold reads it.
             let keys: Vec<(u32, u32)> = self.pair_counts[pi].keys().copied().collect();
             for (a, b) in keys {
-                self.resolution.ensure_pair(kb, a, b);
+                self.resolution.to_mut().ensure_pair(kb, a, b);
             }
             let acc = fold_rels_from_counts(kb, &self.resolution, &self.pair_counts[pi]);
             self.pair_lists[pi] =
@@ -827,7 +829,7 @@ impl DeltaSession {
                     .match_tuple_resolved(
                         kb,
                         self.table.row(t.row),
-                        Some((&self.resolution, t.row)),
+                        Some((&*self.resolution, t.row)),
                     )
                     .outcome
                     == TupleMatch::Full;
@@ -836,11 +838,13 @@ impl DeltaSession {
         self.full_rows = next;
     }
 
-    /// Stale-snapshot fallback: rebuild the resolution and drop every
+    /// Stale-snapshot rebuild: rebuild the resolution and drop every
     /// cache. Sound whatever the caller missed, at full-rebuild cost.
     fn resync(&mut self, kb: &Kb) {
-        self.resolution = TableResolution::build(&self.table, kb, self.config.candidates.max_rows)
-            .with_recorder(self.config.recorder.clone());
+        self.resolution = Cow::Owned(
+            TableResolution::build(&self.table, kb, self.config.candidates.max_rows)
+                .with_recorder(self.config.recorder.clone()),
+        );
         self.rebuild_window_counts();
         self.needs_full_refold = true;
         self.full_pattern = None;

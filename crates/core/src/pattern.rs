@@ -263,7 +263,7 @@ impl TablePattern {
             match resolution {
                 Some((res, r)) => res
                     .candidates(kb, col, r)
-                    .map(|c| c.into_owned())
+                    .map(<[_]>::to_vec)
                     .unwrap_or_default(),
                 None => kb.candidate_resources(cell),
             }

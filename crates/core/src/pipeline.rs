@@ -2,6 +2,7 @@
 //! pattern validation → data annotation → possible repairs, plus multi-KB
 //! selection (a §9 future-work item implemented here).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use katara_crowd::{Crowd, CrowdStats, Oracle};
@@ -10,7 +11,7 @@ use katara_kb::{EnrichmentDelta, Kb};
 use katara_obs::{Counter, Gauge, NoopRecorder, Recorder, Span};
 use katara_table::Table;
 
-use crate::annotation::{annotate_resolved, AnnotationConfig, AnnotationResult};
+use crate::annotation::{annotate_resolved_cached, AnnotationConfig, AnnotationResult};
 use crate::candidates::{
     discover_candidates, discover_candidates_direct, discover_candidates_resolved, CandidateConfig,
 };
@@ -46,10 +47,11 @@ pub struct KataraConfig {
     /// byte-identical for every thread count.
     pub threads: Threads,
     /// How cell→KB lookups are served: [`ResolveMode::Snapshot`] (the
-    /// default) builds one read-only [`TableResolution`] per run and
-    /// shares it across all stages and workers; [`ResolveMode::Direct`]
-    /// reproduces the historical per-stage live queries. Output is
-    /// byte-identical either way.
+    /// default) builds one [`TableResolution`] per run, shares it across
+    /// all stages and workers, and patches it after every enrichment
+    /// write; [`ResolveMode::Direct`] queries the KB live from every stage
+    /// and is kept only as the reference the equivalence tests compare
+    /// against. Output is byte-identical either way.
     pub resolve: ResolveMode,
     /// Observability sink for the whole run: phase spans, KB-probe and
     /// snapshot-tier counters, crowd-spend accounting. The pipeline
@@ -245,7 +247,10 @@ impl Katara {
     /// snapshot build (the cold half of the resolve bench measures
     /// exactly that build); pass `None` for normal operation, where the
     /// snapshot is built here once per run when
-    /// [`KataraConfig::resolve`] is [`ResolveMode::Snapshot`].
+    /// [`KataraConfig::resolve`] is [`ResolveMode::Snapshot`]. An injected
+    /// snapshot that is stale for `kb` is rebuilt; one the run enriches
+    /// is copied on the first write, so `shared` itself never changes and
+    /// can be reused for further cleans against the same KB state.
     pub fn clean_with_resolution<O: Oracle>(
         &self,
         table: &Table,
@@ -254,21 +259,23 @@ impl Katara {
         shared: Option<&TableResolution>,
     ) -> Result<CleaningReport, KataraError> {
         self.clean_keeping_index(table, kb, crowd, shared)
-            .map(|(report, _)| report)
+            .map(|(report, _, _)| report)
     }
 
     /// [`clean_with_resolution`](Self::clean_with_resolution), also
     /// handing back the run's [`RepairIndex`] (built on the report's
     /// effective pattern against the post-enrichment KB; `None` when the
-    /// deadline expired before repair). `DeltaSession::bootstrap` keeps
-    /// it instead of enumerating the same instance graphs again.
-    pub(crate) fn clean_keeping_index<O: Oracle>(
+    /// deadline expired before repair) and the run's snapshot, patched
+    /// with every enrichment write (`None` only for a direct run).
+    /// `DeltaSession::bootstrap` keeps both instead of enumerating the
+    /// same instance graphs again or re-resolving the table.
+    pub(crate) fn clean_keeping_index<'r, O: Oracle>(
         &self,
         table: &Table,
         kb: &mut Kb,
         crowd: &mut Crowd<O>,
-        shared: Option<&TableResolution>,
-    ) -> Result<(CleaningReport, Option<RepairIndex>), KataraError> {
+        shared: Option<&'r TableResolution>,
+    ) -> Result<CleanParts<'r>, KataraError> {
         // One recorder for the whole run: KataraConfig's wins — it is
         // injected into every stage config the pipeline actually runs.
         // The deadline travels the same way, plus into the crowd, so all
@@ -309,18 +316,16 @@ impl Katara {
         // spend between validation and annotation.
         let stats_before = crowd.stats().clone();
         let mut asked_mark: CrowdStats = stats_before.clone();
-        // (0) The shared query snapshot: adopt the injected one, or
-        // build it once for the whole run.
-        let built;
-        let resolution: Option<&TableResolution> = {
+        // (0) The shared query snapshot: adopt the injected one (rebuilt
+        // if stale), or build it once for the whole run.
+        let mut resolution: Option<Cow<'r, TableResolution>> = {
             let _span = Span::enter(rec.as_ref(), "resolve");
             match (self.config.resolve, shared) {
-                (_, Some(r)) => Some(r),
-                (ResolveMode::Snapshot, None) => {
-                    built = TableResolution::build(table, kb, self.config.candidates.max_rows)
-                        .with_recorder(rec.clone());
-                    Some(&built)
-                }
+                (_, Some(r)) => Some(r.current_for(table, kb)),
+                (ResolveMode::Snapshot, None) => Some(Cow::Owned(
+                    TableResolution::build(table, kb, self.config.candidates.max_rows)
+                        .with_recorder(rec.clone()),
+                )),
                 (ResolveMode::Direct, None) => None,
             }
         };
@@ -330,7 +335,7 @@ impl Katara {
         // (1) Pattern discovery.
         let (patterns, discovery_stats) = {
             let _span = Span::enter(rec.as_ref(), "discover");
-            let cands = match resolution {
+            let cands = match resolution.as_deref() {
                 Some(res) => discover_candidates_resolved(table, kb, res, &candidates_cfg),
                 None => discover_candidates_direct(table, kb, &candidates_cfg),
             };
@@ -400,12 +405,19 @@ impl Katara {
         );
         let pattern = outcome.pattern;
 
-        // (3) Data annotation (mutates the KB through enrichment — the
-        // snapshot notices the version bump and serves live results
-        // from then on).
-        let annotation = {
+        // (3) Data annotation (mutates the KB through enrichment, and
+        // patches the snapshot after every write).
+        let (annotation, _) = {
             let _span = Span::enter(rec.as_ref(), "annotate");
-            annotate_resolved(table, &pattern, kb, crowd, &annotation_cfg, resolution)
+            annotate_resolved_cached(
+                table,
+                &pattern,
+                kb,
+                crowd,
+                &annotation_cfg,
+                resolution.as_mut(),
+                None,
+            )
         };
         mark_phase("annotate", &mut deadline_phase);
         record_phase_questions(
@@ -441,8 +453,6 @@ impl Katara {
                 (Vec::new(), None)
             } else {
                 let index = RepairIndex::build(kb, &effective, &repair_cfg);
-                // Repair only consumes the snapshot's string tier (normalized
-                // cells), which never goes stale — safe even after enrichment.
                 let repairs = generate_repairs_resolved(
                     &index,
                     kb,
@@ -452,7 +462,7 @@ impl Katara {
                     self.config.repairs_k,
                     &repair_cfg,
                     self.config.threads,
-                    resolution,
+                    resolution.as_deref(),
                 );
                 (repairs, Some(index))
             }
@@ -511,9 +521,17 @@ impl Katara {
             repairs,
             degradation,
         };
-        Ok((report, repair_index))
+        Ok((report, repair_index, resolution))
     }
 }
+
+/// A run's report, its repair index and its patched snapshot (see
+/// [`Katara::clean_keeping_index`]).
+type CleanParts<'r> = (
+    CleaningReport,
+    Option<RepairIndex>,
+    Option<Cow<'r, TableResolution>>,
+);
 
 /// Export the crowd questions asked since `mark` under `counter`, then
 /// advance `mark` to the crowd's current totals — splits one crowd's

@@ -16,17 +16,20 @@
 //!    results for the column-pair combinations that actually co-occur in
 //!    the scanned rows, the hot path feeding the rank-join.
 //!
-//! ### Staleness (invalidation = never)
+//! ### Staleness (one maintenance path)
 //!
-//! The snapshot itself is immutable and is never invalidated in place.
-//! Annotation *enriches* the KB mid-run (§6.1) and later tuples must see
-//! the enriched facts, so the KB tiers are guarded by the KB's mutation
-//! counter ([`Kb::version`]): the snapshot records the version it was
-//! built against, and every KB-tier accessor takes `&Kb` and transparently
-//! falls back to an equivalent live query once the version has moved.
-//! Over-invalidation is safe (slower, identical answers); the string tier
-//! needs no guard at all. Memory is bounded by the distinct-value count,
-//! not the cell count — see `DESIGN.md` §5e.
+//! Annotation *enriches* the KB mid-run (§6.1) and later lookups must see
+//! the enriched facts. The snapshot follows the KB in exactly one way: the
+//! writer patches it with [`TableResolution::apply_enrichment`], which
+//! re-resolves only the values and pairs the written ops can affect.
+//! Annotation patches the run's snapshot right after every enrichment
+//! write, `DeltaSession` patches its long-lived one for externally
+//! journaled deltas. The snapshot records the KB version ([`Kb::version`])
+//! it reflects; the tier accessors only `debug_assert!` that it is still
+//! current and never query the live KB. Entry points handed a snapshot
+//! check that version once and rebuild a stale one. The string tier does
+//! not involve the KB at all. Memory is bounded by the distinct-value
+//! count, not the cell count — see `DESIGN.md` §5e.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -44,8 +47,9 @@ pub enum ResolveMode {
     /// share it across discovery, annotation, and repair.
     #[default]
     Snapshot,
-    /// Query the KB directly from every stage — the historical path, kept
-    /// for equivalence testing and cold-vs-warm benchmarking.
+    /// Query the KB directly from every stage. Not a user-facing option:
+    /// it is the reference the resolve-equivalence tests compare the
+    /// snapshot path against, byte for byte.
     Direct,
 }
 
@@ -69,11 +73,12 @@ pub struct PairRels {
     pub lit: Vec<PropertyId>,
 }
 
-/// A read-only resolution of one table against one KB. See the module
-/// docs for the tier structure and staleness contract.
+/// A resolution of one table against one KB. See the module docs for the
+/// tier structure and how it stays current.
 #[derive(Debug, Clone)]
 pub struct TableResolution {
-    /// `Kb::version` at build time; KB tiers are valid while it holds.
+    /// The `Kb::version` the KB tiers reflect (at build, or after the
+    /// last [`Self::apply_enrichment`]).
     kb_version: u64,
     /// `cells[col][row]` → distinct-value id (None for null cells).
     cells: Vec<Vec<Option<u32>>>,
@@ -86,17 +91,23 @@ pub struct TableResolution {
     /// reused, so stale pair-memo keys stay unreachable rather than
     /// aliasing).
     refcounts: Vec<usize>,
+    /// Resource → the live value ids whose candidate list contains it,
+    /// kept up to date by build, intern, release and re-resolve, so an
+    /// enrichment patch finds the values a structural op touches without
+    /// scanning every value.
+    by_resource: HashMap<ResourceId, Vec<u32>>,
     /// `(value_a, value_b)` → prebuilt `Q_rels` results, covering every
     /// ordered column pair over the first `pair_rows` rows.
     pair_rels: HashMap<(u32, u32), PairRels>,
     /// How many leading rows the pair memo covers.
     pair_rows: usize,
     non_null_cells: usize,
-    /// Probe-plan tallies from the build-time pair memo, emitted as
-    /// `kb.plan_*` counters when a recorder is attached.
+    /// Probe-plan tallies of the memoized pair computations; the
+    /// build-time ones are emitted as `kb.plan_*` counters when a
+    /// recorder is attached.
     plan_type_first: u64,
     plan_rel_first: u64,
-    /// Sink for per-tier lookup/hit/miss/fallback counters. Defaults to
+    /// Sink for per-tier lookup/hit/miss counters. Defaults to
     /// [`NoopRecorder`]; attach a live one with [`Self::with_recorder`].
     recorder: Arc<dyn Recorder>,
 }
@@ -108,97 +119,48 @@ impl TableResolution {
     /// ([`crate::candidates::CandidateConfig::max_rows`]), which is the
     /// only consumer of pair relations.
     pub fn build(table: &Table, kb: &Kb, pair_rows: usize) -> Self {
-        let nrows = table.num_rows();
-        let ncols = table.num_columns();
+        let (nrows, ncols) = (table.num_rows(), table.num_columns());
+        let mut res = TableResolution {
+            kb_version: kb.version(),
+            cells: vec![vec![None; nrows]; ncols],
+            values: Vec::new(),
+            by_norm: HashMap::new(),
+            refcounts: Vec::new(),
+            by_resource: HashMap::new(),
+            pair_rels: HashMap::new(),
+            pair_rows: nrows.min(pair_rows),
+            non_null_cells: 0,
+            plan_type_first: 0,
+            plan_rel_first: 0,
+            recorder: Arc::new(NoopRecorder),
+        };
+        // Raw spelling → id, so a repeated spelling is normalized once.
         let mut by_raw: HashMap<&str, u32> = HashMap::new();
-        let mut by_norm: HashMap<String, u32> = HashMap::new();
-        let mut values: Vec<ResolvedValue> = Vec::new();
-        let mut refcounts: Vec<usize> = Vec::new();
-        let mut cells = vec![vec![None; nrows]; ncols];
-        let mut non_null_cells = 0usize;
-        for (c, col) in cells.iter_mut().enumerate() {
-            for (r, slot) in col.iter_mut().enumerate() {
+        for c in 0..ncols {
+            for r in 0..nrows {
                 let Some(cell) = table.cell(r, c).as_str() else {
                     continue;
                 };
-                non_null_cells += 1;
-                let id = match by_raw.get(cell) {
-                    Some(&id) => id,
-                    None => {
-                        let norm = sim::normalize(cell);
-                        let id = match by_norm.get(&norm) {
-                            Some(&id) => id,
-                            None => {
-                                let candidates = kb.candidate_resources_normalized(&norm);
-                                let types = kb.types_for_candidates(&candidates);
-                                let id = u32::try_from(values.len())
-                                    .expect("distinct-value space exhausted");
-                                values.push(ResolvedValue {
-                                    norm: norm.clone(),
-                                    candidates,
-                                    types,
-                                });
-                                refcounts.push(0);
-                                by_norm.insert(norm, id);
-                                id
-                            }
-                        };
-                        by_raw.insert(cell, id);
-                        id
-                    }
-                };
-                refcounts[id as usize] += 1;
-                *slot = Some(id);
+                let id = *by_raw.entry(cell).or_insert_with(|| res.intern(kb, cell).0);
+                res.refcounts[id as usize] += 1;
+                res.non_null_cells += 1;
+                res.cells[c][r] = Some(id);
             }
         }
-
-        let pair_rows = nrows.min(pair_rows);
-        let mut pair_rels: HashMap<(u32, u32), PairRels> = HashMap::new();
-        let (mut plan_type_first, mut plan_rel_first) = (0u64, 0u64);
         for i in 0..ncols {
-            for j in 0..ncols {
-                if i == j {
-                    continue;
-                }
-                for (a, b) in cells[i].iter().zip(&cells[j]).take(pair_rows) {
-                    let (Some(a), Some(b)) = (*a, *b) else {
-                        continue;
-                    };
-                    pair_rels.entry((a, b)).or_insert_with(|| {
-                        let va = &values[a as usize];
-                        let vb = &values[b as usize];
-                        let (res, plan) =
-                            kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
-                        match plan {
-                            ProbePlan::TypeFirst => plan_type_first += 1,
-                            ProbePlan::RelFirst => plan_rel_first += 1,
-                        }
-                        PairRels {
-                            res,
-                            lit: kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-                        }
-                    });
+            for j in (0..ncols).filter(|&j| j != i) {
+                for r in 0..res.pair_rows {
+                    if let (Some(a), Some(b)) = (res.cells[i][r], res.cells[j][r]) {
+                        res.ensure_pair(kb, a, b);
+                    }
                 }
             }
         }
-
-        TableResolution {
-            kb_version: kb.version(),
-            cells,
-            values,
-            by_norm,
-            refcounts,
-            pair_rels,
-            pair_rows,
-            non_null_cells,
-            plan_type_first,
-            plan_rel_first,
-            recorder: Arc::new(NoopRecorder),
-        }
+        res
     }
 
     /// Attach a recorder: subsequent tier accesses emit
-    /// `resolve.{candidates,types,pair}_{lookups,hit,miss,fallback}`
+    /// `resolve.{candidates,types,pair}_{lookups,hit,miss}`
     /// counters, and the snapshot's shape is published as gauges.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         recorder.set_gauge(Gauge::ResolveDistinctValues, self.values.len() as u64);
@@ -209,7 +171,18 @@ impl TableResolution {
         self
     }
 
-    /// Tally a live (non-memoized) probe-plan decision.
+    /// Borrow this snapshot of `table` when it is current for `kb`;
+    /// otherwise rebuild it against `kb` (same pair-row cap and recorder)
+    /// — the one staleness check an injected snapshot gets.
+    pub(crate) fn current_for(&self, table: &Table, kb: &Kb) -> Cow<'_, Self> {
+        if self.is_current(kb) {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(Self::build(table, kb, self.pair_rows).with_recorder(self.recorder.clone()))
+        }
+    }
+
+    /// Record a probe-plan decision on the recorder.
     fn record_plan(&self, plan: ProbePlan) {
         self.recorder.incr(match plan {
             ProbePlan::TypeFirst => Counter::KbPlanTypeFirst,
@@ -217,8 +190,8 @@ impl TableResolution {
         });
     }
 
-    /// True while the KB tiers still reflect `kb` (no enrichment write has
-    /// landed since the snapshot was built).
+    /// True while the KB tiers reflect `kb`: no enrichment write has
+    /// landed since the build or the last patch.
     pub fn is_current(&self, kb: &Kb) -> bool {
         kb.version() == self.kb_version
     }
@@ -265,87 +238,68 @@ impl TableResolution {
         &self.values[id as usize].norm
     }
 
-    /// KB tier: `Kb::candidate_resources` of cell `(col, row)` — the
-    /// cached list while current, an equivalent live query once `kb` has
-    /// been enriched. `None` for null cells.
-    pub fn candidates(&self, kb: &Kb, col: usize, row: usize) -> Option<CandList<'_>> {
+    /// KB tier: `Kb::candidate_resources` of cell `(col, row)`; `None`
+    /// for null cells. `kb` must be the KB the snapshot is current for.
+    pub fn candidates(&self, kb: &Kb, col: usize, row: usize) -> Option<&[(ResourceId, f64)]> {
         let id = self.value_id(col, row)?;
         Some(self.candidates_of(kb, id))
     }
 
     /// [`Self::candidates`] by distinct-value id.
-    pub fn candidates_of(&self, kb: &Kb, id: u32) -> CandList<'_> {
+    pub fn candidates_of(&self, kb: &Kb, id: u32) -> &[(ResourceId, f64)] {
+        debug_assert!(self.is_current(kb), "candidates_of on a stale snapshot");
         self.recorder.incr(Counter::ResolveCandidatesLookups);
-        let v = &self.values[id as usize];
-        if self.is_current(kb) {
-            self.recorder.incr(Counter::ResolveCandidatesHit);
-            Cow::Borrowed(v.candidates.as_slice())
-        } else {
-            self.recorder.incr(Counter::ResolveCandidatesFallback);
-            Cow::Owned(kb.candidate_resources_normalized(&v.norm))
-        }
+        self.recorder.incr(Counter::ResolveCandidatesHit);
+        &self.values[id as usize].candidates
     }
 
     /// KB tier: `Q_types` of cell `(col, row)`; `None` for null cells.
-    pub fn types(&self, kb: &Kb, col: usize, row: usize) -> Option<Cow<'_, [ClassId]>> {
+    pub fn types(&self, kb: &Kb, col: usize, row: usize) -> Option<&[ClassId]> {
         let id = self.value_id(col, row)?;
         Some(self.types_of(kb, id))
     }
 
     /// [`Self::types`] by distinct-value id.
-    pub fn types_of(&self, kb: &Kb, id: u32) -> Cow<'_, [ClassId]> {
+    pub fn types_of(&self, kb: &Kb, id: u32) -> &[ClassId] {
+        debug_assert!(self.is_current(kb), "types_of on a stale snapshot");
         self.recorder.incr(Counter::ResolveTypesLookups);
-        let v = &self.values[id as usize];
-        if self.is_current(kb) {
-            self.recorder.incr(Counter::ResolveTypesHit);
-            Cow::Borrowed(v.types.as_slice())
-        } else {
-            self.recorder.incr(Counter::ResolveTypesFallback);
-            Cow::Owned(kb.types_of_value(&v.norm))
-        }
+        self.recorder.incr(Counter::ResolveTypesHit);
+        &self.values[id as usize].types
     }
 
     /// Pair memo: `Q_rels^1`/`Q_rels^2` between two distinct-value ids.
-    /// Served from the prebuilt memo while current and covered; computed
-    /// live (identically) for stale snapshots or uncovered combinations.
+    /// Served from the prebuilt memo when covered; computed from the
+    /// cached candidate lists (identically) for combinations beyond
+    /// `pair_rows`.
     pub fn pair_relations(&self, kb: &Kb, a: u32, b: u32) -> Cow<'_, PairRels> {
+        debug_assert!(self.is_current(kb), "pair_relations on a stale snapshot");
         self.recorder.incr(Counter::ResolvePairLookups);
-        if self.is_current(kb) {
-            if let Some(cached) = self.pair_rels.get(&(a, b)) {
-                self.recorder.incr(Counter::ResolvePairHit);
-                return Cow::Borrowed(cached);
-            }
-            // Current but uncovered (row beyond `pair_rows`): the cached
-            // candidate lists are valid, so derive from them.
-            self.recorder.incr(Counter::ResolvePairMiss);
-            let va = &self.values[a as usize];
-            let vb = &self.values[b as usize];
-            let (res, plan) = kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
-            self.record_plan(plan);
-            return Cow::Owned(PairRels {
-                res,
-                lit: kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-            });
+        if let Some(cached) = self.pair_rels.get(&(a, b)) {
+            self.recorder.incr(Counter::ResolvePairHit);
+            return Cow::Borrowed(cached);
         }
-        self.recorder.incr(Counter::ResolvePairFallback);
-        let ca = kb.candidate_resources_normalized(self.norm_of(a));
-        let cb = kb.candidate_resources_normalized(self.norm_of(b));
-        let (res, plan) = kb.relations_for_candidates_planned(&ca, &cb);
+        self.recorder.incr(Counter::ResolvePairMiss);
+        let (rels, plan) = self.compute_pair(kb, a, b);
         self.record_plan(plan);
-        Cow::Owned(PairRels {
-            res,
-            lit: kb.literal_relations_for_candidates(&ca, self.norm_of(b)),
-        })
+        Cow::Owned(rels)
     }
 
-    // ---- Delta maintenance -------------------------------------------------
+    /// `Q_rels` between two values from their cached candidate lists.
+    fn compute_pair(&self, kb: &Kb, a: u32, b: u32) -> (PairRels, ProbePlan) {
+        let va = &self.values[a as usize];
+        let vb = &self.values[b as usize];
+        let (res, plan) = kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
+        let lit = kb.literal_relations_for_candidates(&va.candidates, &vb.norm);
+        (PairRels { res, lit }, plan)
+    }
+
+    // ---- Maintenance -------------------------------------------------------
     //
-    // The incremental engine ([`crate::delta`]) keeps one resolution alive
-    // across runs instead of rebuilding per clean. Every mutator below
-    // requires the snapshot to be *current* (`is_current(kb)`): the delta
-    // session patches journaled KB deltas via [`Self::apply_enrichment`]
-    // before touching cells, so the cached tiers it extends are never
-    // stale.
+    // Annotation patches the run's snapshot after every enrichment write,
+    // and the incremental engine ([`crate::delta`]) keeps one resolution
+    // alive across runs instead of rebuilding per clean. Every mutator
+    // below requires the snapshot to be *current* (`is_current(kb)`), so
+    // the cached tiers it extends are never stale.
 
     /// Swap in a recorder without republishing build-time gauges — delta
     /// runs re-attach their session recorder to a long-lived snapshot.
@@ -371,6 +325,7 @@ impl TableResolution {
         let candidates = kb.candidate_resources_normalized(&norm);
         let types = kb.types_for_candidates(&candidates);
         let id = u32::try_from(self.values.len()).expect("distinct-value space exhausted");
+        link(&mut self.by_resource, id, &candidates);
         self.values.push(ResolvedValue {
             norm: norm.clone(),
             candidates,
@@ -391,6 +346,7 @@ impl TableResolution {
         *rc -= 1;
         if *rc == 0 {
             let v = &mut self.values[id as usize];
+            unlink(&mut self.by_resource, id, &v.candidates);
             self.by_norm.remove(&v.norm);
             v.norm = String::new();
             v.candidates = Vec::new();
@@ -467,36 +423,28 @@ impl TableResolution {
     /// re-folds hit the pair memo instead of recomputing per fold.
     pub fn ensure_pair(&mut self, kb: &Kb, a: u32, b: u32) {
         debug_assert!(self.is_current(kb), "ensure_pair on a stale snapshot");
-        if self.pair_rels.contains_key(&(a, b)) {
-            return;
-        }
-        let (res, lit) = {
-            let va = &self.values[a as usize];
-            let vb = &self.values[b as usize];
-            let (res, plan) = kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
+        if !self.pair_rels.contains_key(&(a, b)) {
+            let (rels, plan) = self.compute_pair(kb, a, b);
+            match plan {
+                ProbePlan::TypeFirst => self.plan_type_first += 1,
+                ProbePlan::RelFirst => self.plan_rel_first += 1,
+            }
             self.record_plan(plan);
-            (
-                res,
-                kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-            )
-        };
-        self.pair_rels.insert((a, b), PairRels { res, lit });
+            self.pair_rels.insert((a, b), rels);
+        }
     }
 
     /// Recompute one value's KB tiers from the live KB.
     fn re_resolve(&mut self, kb: &Kb, id: u32) {
-        let norm = std::mem::take(&mut self.values[id as usize].norm);
-        let candidates = kb.candidate_resources_normalized(&norm);
-        let types = kb.types_for_candidates(&candidates);
         let v = &mut self.values[id as usize];
-        v.norm = norm;
-        v.candidates = candidates;
-        v.types = types;
+        unlink(&mut self.by_resource, id, &v.candidates);
+        v.candidates = kb.candidate_resources_normalized(&v.norm);
+        v.types = kb.types_for_candidates(&v.candidates);
+        link(&mut self.by_resource, id, &v.candidates);
     }
 
     /// Patch the cached KB tiers for one applied [`EnrichmentDelta`],
-    /// re-resolving only the values the delta can have affected instead of
-    /// falling back to live queries on every access.
+    /// re-resolving only the values the delta can have affected.
     ///
     /// `kb` must already contain the delta. When the snapshot missed
     /// several journaled deltas, apply each in journal order; the last
@@ -524,26 +472,33 @@ impl TableResolution {
     /// memoized pair naming them (those entries derive from the old
     /// candidate lists).
     pub fn apply_enrichment(&mut self, kb: &Kb, delta: &EnrichmentDelta) -> EnrichmentPatch {
-        let threshold = kb.sim_threshold();
-        let live: Vec<u32> = (0..self.values.len() as u32)
-            .filter(|&id| self.refcounts[id as usize] > 0)
-            .collect();
+        self.apply_ops(kb, &delta.ops)
+    }
 
+    /// [`Self::apply_enrichment`] over a slice of ops — annotation patches
+    /// with the ops its running delta capture recorded since the previous
+    /// patch. The work is bounded by what the ops can affect: an empty
+    /// slice costs nothing, structural ops go through the resource→values
+    /// index, and only label ops scan the values.
+    pub(crate) fn apply_ops(&mut self, kb: &Kb, ops: &[DeltaOp]) -> EnrichmentPatch {
+        // `kb` already holds the ops; the tiers are re-derived from it below.
+        self.kb_version = kb.version();
         // Phase 1: new labels re-aim value→resource matching.
+        let threshold = kb.sim_threshold();
         let mut dirty: HashSet<u32> = HashSet::new();
-        for op in &delta.ops {
+        for op in ops {
             let DeltaOp::Entity { label, .. } = op else {
                 continue;
             };
             let nl = sim::normalize(label);
-            for &id in &live {
-                if dirty.contains(&id) {
+            for (id, v) in self.values.iter().enumerate() {
+                let id = id as u32;
+                if self.refcounts[id as usize] == 0 || dirty.contains(&id) {
                     continue;
                 }
-                let norm = &self.values[id as usize].norm;
-                if *norm == nl
-                    || (kb.resources_by_label(norm).is_empty()
-                        && sim::similarity(norm, &nl) >= threshold)
+                if v.norm == nl
+                    || (kb.resources_by_label(&v.norm).is_empty()
+                        && sim::similarity(&v.norm, &nl) >= threshold)
                 {
                     dirty.insert(id);
                 }
@@ -553,52 +508,34 @@ impl TableResolution {
             self.re_resolve(kb, id);
         }
 
-        // Phase 2: with label-phase candidates fresh, index resource →
-        // values and walk the structural ops.
-        let mut rev: HashMap<ResourceId, Vec<u32>> = HashMap::new();
-        for &id in &live {
-            for &(r, _) in &self.values[id as usize].candidates {
-                rev.entry(r).or_default().push(id);
-            }
-        }
+        // Phase 2: with label-phase candidates fresh, walk the structural
+        // ops through the resource→values index.
+        let values_of = |name: &str| {
+            kb.resolve_resource_name(name)
+                .and_then(|r| self.by_resource.get(&r))
+                .map_or(&[][..], Vec::as_slice)
+        };
         let mut type_dirty: HashSet<u32> = HashSet::new();
         let mut dirty_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for op in &delta.ops {
+        for op in ops {
             match op {
                 DeltaOp::Entity { .. } => {}
                 DeltaOp::Type { resource, .. } => {
-                    if let Some(rid) = kb.resolve_resource_name(resource) {
-                        if let Some(ids) = rev.get(&rid) {
-                            type_dirty.extend(ids.iter().copied());
-                        }
-                    }
+                    type_dirty.extend(values_of(resource).iter().copied());
                 }
                 DeltaOp::Fact {
                     subject, object, ..
                 } => {
-                    if let (Some(s), Some(o)) = (
-                        kb.resolve_resource_name(subject),
-                        kb.resolve_resource_name(object),
-                    ) {
-                        if let (Some(sa), Some(ob)) = (rev.get(&s), rev.get(&o)) {
-                            for &a in sa {
-                                for &b in ob {
-                                    dirty_pairs.insert((a, b));
-                                }
-                            }
-                        }
+                    let objects = values_of(object);
+                    for &a in values_of(subject) {
+                        dirty_pairs.extend(objects.iter().map(|&b| (a, b)));
                     }
                 }
                 DeltaOp::LiteralFact {
                     subject, literal, ..
                 } => {
-                    if let Some(s) = kb.resolve_resource_name(subject) {
-                        let nl = sim::normalize(literal);
-                        if let (Some(sa), Some(&b)) = (rev.get(&s), self.by_norm.get(&nl)) {
-                            for &a in sa {
-                                dirty_pairs.insert((a, b));
-                            }
-                        }
+                    if let Some(&b) = self.by_norm.get(&sim::normalize(literal)) {
+                        dirty_pairs.extend(values_of(subject).iter().map(|&a| (a, b)));
                     }
                 }
                 // `DeltaOp` is non_exhaustive; an op kind this build does
@@ -606,42 +543,59 @@ impl TableResolution {
                 _ => {}
             }
         }
-        for &id in &type_dirty {
+        for id in type_dirty {
             if dirty.insert(id) {
                 self.re_resolve(kb, id);
             }
         }
 
         // Phase 3: pair entries derived from stale candidates.
-        for &(a, b) in self.pair_rels.keys() {
-            if dirty.contains(&a) || dirty.contains(&b) {
-                dirty_pairs.insert((a, b));
-            }
+        if !dirty.is_empty() {
+            dirty_pairs.extend(
+                self.pair_rels
+                    .keys()
+                    .filter(|(a, b)| dirty.contains(a) || dirty.contains(b)),
+            );
         }
         let mut pairs_repatched = 0usize;
         for (a, b) in dirty_pairs {
-            if !self.pair_rels.contains_key(&(a, b)) {
-                continue; // uncovered pairs are computed on demand
+            // Uncovered pairs are computed on demand, never memoized here.
+            if self.pair_rels.remove(&(a, b)).is_some() {
+                self.ensure_pair(kb, a, b);
+                pairs_repatched += 1;
             }
-            let (res, lit) = {
-                let va = &self.values[a as usize];
-                let vb = &self.values[b as usize];
-                let (res, plan) =
-                    kb.relations_for_candidates_planned(&va.candidates, &vb.candidates);
-                self.record_plan(plan);
-                (
-                    res,
-                    kb.literal_relations_for_candidates(&va.candidates, &vb.norm),
-                )
-            };
-            self.pair_rels.insert((a, b), PairRels { res, lit });
-            pairs_repatched += 1;
         }
 
-        self.kb_version = kb.version();
         EnrichmentPatch {
             values_repatched: dirty.len(),
             pairs_repatched,
+        }
+    }
+}
+
+/// Index value `id` under each of its candidate resources.
+fn link(
+    by_resource: &mut HashMap<ResourceId, Vec<u32>>,
+    id: u32,
+    candidates: &[(ResourceId, f64)],
+) {
+    for &(r, _) in candidates {
+        by_resource.entry(r).or_default().push(id);
+    }
+}
+
+/// Undo [`link`] for value `id` and its (old) candidate list.
+fn unlink(
+    by_resource: &mut HashMap<ResourceId, Vec<u32>>,
+    id: u32,
+    candidates: &[(ResourceId, f64)],
+) {
+    for &(r, _) in candidates {
+        if let Some(ids) = by_resource.get_mut(&r) {
+            ids.retain(|&x| x != id);
+            if ids.is_empty() {
+                by_resource.remove(&r);
+            }
         }
     }
 }
@@ -666,10 +620,6 @@ pub struct EnrichmentPatch {
     /// Memoized pair entries recomputed.
     pub pairs_repatched: usize,
 }
-
-/// A candidate list that is either borrowed from the snapshot or computed
-/// live on staleness.
-pub type CandList<'a> = Cow<'a, [(ResourceId, f64)]>;
 
 #[cfg(test)]
 mod tests {
@@ -726,8 +676,8 @@ mod tests {
                         assert!(types.is_none());
                     }
                     Some(cell) => {
-                        assert_eq!(cands.unwrap().as_ref(), kb.candidate_resources(cell));
-                        assert_eq!(types.unwrap().as_ref(), kb.types_of_value(cell));
+                        assert_eq!(cands.unwrap(), kb.candidate_resources(cell));
+                        assert_eq!(types.unwrap(), kb.types_of_value(cell));
                     }
                 }
             }
@@ -752,33 +702,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stale_snapshot_falls_back_to_live() {
-        let (mut kb, t) = kb_and_table();
-        let res = TableResolution::build(&t, &kb, usize::MAX);
-        assert!(res.is_current(&kb));
-        // Enrich: "Pretoria" becomes a capital, and Italy gains a second
-        // capital fact — the cached tiers are now stale.
-        let capital = kb.class_by_name("capital").unwrap();
-        let has_capital = kb.property_by_name("hasCapital").unwrap();
-        let pretoria = kb.add_entity("Pretoria", "Pretoria", &[capital]);
-        let italy = kb.resource_by_name("Italy").unwrap();
-        kb.add_fact(italy, has_capital, pretoria);
-        assert!(!res.is_current(&kb));
-        // Accessors now agree with the *enriched* KB, not the snapshot.
-        let (a, b) = (res.value_id(0, 0).unwrap(), res.value_id(1, 0).unwrap());
-        assert_eq!(
-            res.candidates(&kb, 0, 0).unwrap().as_ref(),
-            kb.candidate_resources("Italy")
-        );
-        assert_eq!(
-            res.pair_relations(&kb, a, b).res,
-            kb.relations_between_values("Italy", "Rome")
-        );
-        // The string tier is mutation-independent.
-        assert_eq!(res.cell_norm(0, 0), Some("italy"));
     }
 
     #[test]
@@ -818,16 +741,22 @@ mod tests {
                     );
                     continue;
                 };
-                assert_eq!(
-                    edited.candidates_of(kb, a).as_ref(),
-                    fresh.candidates_of(kb, b).as_ref()
-                );
-                assert_eq!(
-                    edited.types_of(kb, a).as_ref(),
-                    fresh.types_of(kb, b).as_ref()
-                );
+                assert_eq!(edited.candidates_of(kb, a), fresh.candidates_of(kb, b));
+                assert_eq!(edited.types_of(kb, a), fresh.types_of(kb, b));
             }
         }
+        // The resource→values index matches the live candidate lists.
+        let mut expected: HashMap<ResourceId, Vec<u32>> = HashMap::new();
+        for (id, v) in edited.values.iter().enumerate() {
+            if edited.refcounts[id] > 0 {
+                link(&mut expected, id as u32, &v.candidates);
+            }
+        }
+        let mut indexed = edited.by_resource.clone();
+        for ids in expected.values_mut().chain(indexed.values_mut()) {
+            ids.sort_unstable();
+        }
+        assert_eq!(indexed, expected);
         // Pair tiers over every co-occurring combination.
         for r in 0..table.num_rows() {
             for i in 0..table.num_columns() {
@@ -899,7 +828,7 @@ mod tests {
         assert!(patch.resolved);
         assert_ne!(patch.new, Some(rossi));
         assert_eq!(
-            res.candidates_of(&kb, patch.new.unwrap()).as_ref(),
+            res.candidates_of(&kb, patch.new.unwrap()),
             kb.candidate_resources("Rossi")
         );
     }

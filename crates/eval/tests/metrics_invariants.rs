@@ -4,8 +4,10 @@
 //! The metrics a run exports are only useful if they can be trusted, so
 //! this suite pins down the contracts the counters must satisfy:
 //!
-//! * every snapshot resolve tier balances — hits + misses + fallbacks
-//!   equals lookups, nothing double- or under-counted;
+//! * every snapshot resolve tier balances — hits + misses equals
+//!   lookups, nothing double- or under-counted — and a clean that
+//!   enriches the KB still serves every candidate and type lookup from
+//!   the (patched) snapshot;
 //! * crowd spend never exceeds the budget, and the exported counter
 //!   agrees with the degradation report;
 //! * KB probe counters count *logical* probes, so the snapshot and
@@ -135,17 +137,29 @@ fn instrumented_clean(
 
 #[test]
 fn every_resolve_tier_balances() {
-    let (m, _) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
+    let (m, report) = instrumented_clean(ResolveMode::Snapshot, 1, Budget::unlimited());
     for tier in ["candidates", "types", "pair"] {
         let lookups = m.counter(&format!("resolve.{tier}_lookups"));
         let hits = m.counter(&format!("resolve.{tier}_hit"));
         let misses = m.counter(&format!("resolve.{tier}_miss"));
-        let fallbacks = m.counter(&format!("resolve.{tier}_fallback"));
         assert!(lookups > 0, "{tier}: no lookups recorded at all");
         assert_eq!(
-            hits + misses + fallbacks,
+            hits + misses,
             lookups,
-            "{tier}: hits {hits} + misses {misses} + fallbacks {fallbacks} != lookups {lookups}"
+            "{tier}: hits {hits} + misses {misses} != lookups {lookups}"
+        );
+    }
+    // The default config enriches; annotation patches the snapshot after
+    // every write, so no candidate or type lookup ever misses it.
+    assert!(
+        report.annotation.enriched_facts > 0,
+        "the setting must enrich"
+    );
+    for tier in ["candidates", "types"] {
+        assert_eq!(
+            m.counter(&format!("resolve.{tier}_hit")),
+            m.counter(&format!("resolve.{tier}_lookups")),
+            "{tier}: an enriching clean left a lookup unserved by the snapshot"
         );
     }
 }

@@ -653,6 +653,13 @@ impl Kb {
         }
     }
 
+    /// The writes captured so far, without stopping the capture (empty
+    /// when no capture is running). A reader that remembers how many it
+    /// has seen can follow the capture op by op.
+    pub fn captured_ops(&self) -> &[DeltaOp] {
+        self.capture.as_deref().unwrap_or_default()
+    }
+
     fn record(&mut self, op: impl FnOnce(&Kb) -> DeltaOp) {
         if self.capture.is_some() {
             let op = op(self);

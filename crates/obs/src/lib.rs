@@ -112,15 +112,12 @@ metric_enum! {
         RepairIndexValues => "repair.index_values",
         RepairTopkTruncations => "repair.topk_truncations",
         RepairTuplesRepaired => "repair.tuples_repaired",
-        ResolveCandidatesFallback => "resolve.candidates_fallback",
         ResolveCandidatesHit => "resolve.candidates_hit",
         ResolveCandidatesLookups => "resolve.candidates_lookups",
         ResolveCandidatesMiss => "resolve.candidates_miss",
-        ResolvePairFallback => "resolve.pair_fallback",
         ResolvePairHit => "resolve.pair_hit",
         ResolvePairLookups => "resolve.pair_lookups",
         ResolvePairMiss => "resolve.pair_miss",
-        ResolveTypesFallback => "resolve.types_fallback",
         ResolveTypesHit => "resolve.types_hit",
         ResolveTypesLookups => "resolve.types_lookups",
         ResolveTypesMiss => "resolve.types_miss",

@@ -141,15 +141,14 @@ impl Default for ServerConfig {
 }
 
 /// Cap on warm `TableResolution` snapshots kept alive. When full the
-/// cache is dropped wholesale — crude, but bounded and correct (the next
-/// request rebuilds).
+/// least-recently-used snapshot is evicted; the next request for its
+/// body rebuilds it.
 const SNAPSHOT_CACHE_CAP: usize = 64;
 
-/// Cap on warm [`DeltaSession`]s. Unlike the snapshot cache, sessions
-/// are expensive to re-bootstrap (a full clean), so eviction is LRU —
-/// only the coldest session is dropped when the cache is full. The
-/// evicted client gets `404` on its next replay and re-bootstraps;
-/// evictions are counted under `serve.sessions_evicted`.
+/// Cap on warm [`DeltaSession`]s. When full the least-recently-used
+/// session is evicted. The evicted client gets `404` on its next replay
+/// and re-bootstraps; evictions are counted under
+/// `serve.sessions_evicted`.
 const SESSION_CACHE_CAP: usize = 16;
 
 /// Cap on the ring of recently journaled enrichment deltas kept for
@@ -166,21 +165,24 @@ struct DeltaEntry {
     policy: ServePolicy,
 }
 
-/// LRU cache of warm delta sessions: entries carry a last-use tick from
-/// a monotonic counter; `get` refreshes it, and `insert` at capacity
-/// evicts the entry with the oldest tick (an O(cap) scan — the cap is
-/// small and the lock is already held). Ticks are unique, so the victim
-/// is deterministic regardless of `HashMap` iteration order.
+/// LRU cache of warm server state (delta sessions, resolution
+/// snapshots): entries carry a last-use tick from a monotonic counter;
+/// `get` refreshes it, and `insert` at capacity evicts the entry with the
+/// oldest tick (an O(cap) scan — the cap is small and the lock is already
+/// held). Ticks are unique, so the victim is deterministic regardless of
+/// `HashMap` iteration order.
 struct SessionCache<V = Arc<Mutex<DeltaEntry>>> {
     map: HashMap<u64, (u64, V)>,
     tick: u64,
+    cap: usize,
 }
 
 impl<V: Clone> SessionCache<V> {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         SessionCache {
             map: HashMap::new(),
             tick: 0,
+            cap,
         }
     }
 
@@ -199,7 +201,7 @@ impl<V: Clone> SessionCache<V> {
     fn insert(&mut self, key: u64, entry: V) -> Option<u64> {
         self.tick += 1;
         let mut evicted = None;
-        if !self.map.contains_key(&key) && self.map.len() >= SESSION_CACHE_CAP {
+        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
             if let Some(lru) = self
                 .map
                 .iter()
@@ -252,7 +254,9 @@ struct ServerState {
     /// Live connection-handler threads (drain barrier).
     conns: AtomicUsize,
     shutdown: AtomicBool,
-    snapshots: Mutex<HashMap<u64, Arc<TableResolution>>>,
+    /// Warm resolution snapshots keyed by `(body hash, KB version)`;
+    /// LRU-evicted at capacity.
+    snapshots: Mutex<SessionCache<Arc<TableResolution>>>,
     /// Warm incremental sessions (`POST /delta`), keyed by the
     /// bootstrap's snapshot key; LRU-evicted at capacity.
     sessions: Mutex<SessionCache>,
@@ -366,8 +370,8 @@ impl Server {
                 in_flight: AtomicUsize::new(0),
                 conns: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
-                snapshots: Mutex::new(HashMap::new()),
-                sessions: Mutex::new(SessionCache::new()),
+                snapshots: Mutex::new(SessionCache::new(SNAPSHOT_CACHE_CAP)),
+                sessions: Mutex::new(SessionCache::new(SESSION_CACHE_CAP)),
                 recent_deltas: Mutex::new(VecDeque::new()),
                 journal: journal.map(|journal| {
                     Mutex::new(JournalState {
@@ -661,10 +665,11 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
         rec.incr(Counter::ServeSnapshotMiss);
         Arc::new(TableResolution::build(&table, &kb, candidates_cfg.max_rows))
     } else {
-        let cached = {
-            let cache = state.snapshots.lock().unwrap_or_else(|e| e.into_inner());
-            cache.get(&key).cloned()
-        };
+        let cached = state
+            .snapshots
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key);
         match cached {
             Some(res) => {
                 rec.incr(Counter::ServeSnapshotHit);
@@ -673,11 +678,11 @@ fn handle_clean(state: &ServerState, req: &Request) -> (u16, String) {
             None => {
                 rec.incr(Counter::ServeSnapshotMiss);
                 let res = Arc::new(TableResolution::build(&table, &kb, candidates_cfg.max_rows));
-                let mut cache = state.snapshots.lock().unwrap_or_else(|e| e.into_inner());
-                if cache.len() >= SNAPSHOT_CACHE_CAP {
-                    cache.clear();
-                }
-                cache.insert(key, Arc::clone(&res));
+                state
+                    .snapshots
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .insert(key, Arc::clone(&res));
                 res
             }
         }
@@ -1306,8 +1311,8 @@ mod tests {
             in_flight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            snapshots: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(SessionCache::new()),
+            snapshots: Mutex::new(SessionCache::new(SNAPSHOT_CACHE_CAP)),
+            sessions: Mutex::new(SessionCache::new(SESSION_CACHE_CAP)),
             recent_deltas: Mutex::new(VecDeque::new()),
             journal: journal.map(|journal| {
                 Mutex::new(JournalState {
@@ -1638,7 +1643,7 @@ mod tests {
 
     #[test]
     fn session_cache_evicts_least_recently_used() {
-        let mut cache = SessionCache::<u32>::new();
+        let mut cache = SessionCache::<u32>::new(SESSION_CACHE_CAP);
         for key in 0..SESSION_CACHE_CAP as u64 {
             assert_eq!(cache.insert(key, key as u32), None, "cache not yet full");
         }
@@ -1662,6 +1667,27 @@ mod tests {
         // Explicit removal frees a slot, so the next insert is eviction-free.
         cache.remove(0);
         assert_eq!(cache.insert(103, 103), None);
+    }
+
+    #[test]
+    fn snapshot_cache_evicts_least_recently_used() {
+        let st = state();
+        let body = |i: usize| format!("{SOCCER_CSV}Extra{i},Italy,Rome\n");
+        let misses = || st.recorder.counter_total(Counter::ServeSnapshotMiss);
+        for i in 0..SNAPSHOT_CACHE_CAP {
+            route(&st, &post_clean(&body(i), &[]));
+        }
+        assert_eq!(misses(), SNAPSHOT_CACHE_CAP as u64, "every body is new");
+        // Touch body 0, then overflow the cache: the coldest snapshot
+        // (body 1) is evicted, not every snapshot.
+        route(&st, &post_clean(&body(0), &[]));
+        route(&st, &post_clean(&body(SNAPSHOT_CACHE_CAP), &[]));
+        let before = misses();
+        route(&st, &post_clean(&body(0), &[]));
+        route(&st, &post_clean(&body(2), &[]));
+        assert_eq!(misses(), before, "bodies 0 and 2 stay warm");
+        route(&st, &post_clean(&body(1), &[]));
+        assert_eq!(misses(), before + 1, "body 1 was the one evicted");
     }
 
     #[test]
